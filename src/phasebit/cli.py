@@ -154,20 +154,8 @@ def _run_gates(config: ExperimentConfig):
 
 
 def _run_compare(config: ExperimentConfig):
-    points = correlation_curve(
-        config.model, config.angles, config.trials, workers=config.workers
-    )
-    rows = [
-        (
-            p.delta,
-            p.analytic,
-            p.estimated.mean,
-            p.estimated.stderr,
-            singlet_correlation(0.0, p.delta),
-            p.estimated.n,
-        )
-        for p in points
-    ]
+    _, rows = _run_curve(config)
+    rows = [(*row[:4], singlet_correlation(0.0, row[0]), row[4]) for row in rows]
     return COMPARE_FIELDS, rows
 
 

@@ -216,6 +216,8 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("angle list must not be empty")
     if any(not math.isfinite(a) for a in config.angles):
         raise ConfigError("angles must be finite")
+    if config.model.burn_in + config.trials * len(config.angles) > 2**63 - 1:
+        raise ConfigError("burn_in + trials * len(angles) exceeds the int64 trial index")
     if config.command == "chsh" and len(config.angles) != 4:
         raise ConfigError(
             f"chsh needs exactly 4 angles (a1, a2, b1, b2), got {len(config.angles)}"

@@ -20,6 +20,9 @@ import numpy as np
 
 from .phase import PhaseStream, chunk_quota, substream, wrap_angle
 
+# Trials per array pass; bounds memory at O(block) without changing a sum.
+BLOCK_TRIALS = 1 << 16
+
 
 def dichotomic(phi: float, alpha: float) -> int:
     """Signal value in ``{+1, -1}`` for one phase and detector angle.
@@ -86,6 +89,34 @@ def conditional_same_color_probability(delta: float) -> float:
     return 1.0 - abs(wrap_angle(delta)) / math.pi
 
 
+def sign_product_sums(
+    stream: PhaseStream, pairs: tuple[tuple[float, float], ...], n: int, *, workers: int = 1
+) -> list[int]:
+    """Exact sums of ``s(x) * s(y)`` over the next ``n`` trials, one per pair ``(x, y)``.
+
+    The stream's cursor advances by ``n``.  ``workers`` splits the trials
+    into leapfrog substreams, walked in blocks of ``BLOCK_TRIALS`` that
+    evaluate each distinct angle once; integer sums make the result
+    independent of both the partition and the blocking.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    angles = dict.fromkeys(a for pair in pairs for a in pair)
+    totals = [0] * len(pairs)
+    for chunk in range(workers):
+        sub = substream(stream, chunk, workers)
+        quota = chunk_quota(n, chunk, workers)
+        while sub.position < quota:
+            _, phi = sub.take(min(BLOCK_TRIALS, quota - sub.position))
+            signs = {a: dichotomic_array(phi, a) for a in angles}
+            for k, (x, y) in enumerate(pairs):
+                totals[k] += int((signs[x] * signs[y]).sum(dtype=np.int64))
+    stream.skip(n)
+    return totals
+
+
 def estimate_correlation(
     stream: PhaseStream,
     alpha1: float,
@@ -101,15 +132,5 @@ def estimate_correlation(
     leapfrog substreams; product sums are integers, so the result is
     bit-identical for every worker count.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    total = 0
-    for chunk in range(workers):
-        sub = substream(stream, chunk, workers)
-        _, phi = sub.take(chunk_quota(n, chunk, workers))
-        products = dichotomic_array(phi, alpha1) * dichotomic_array(phi, alpha2)
-        total += int(products.sum(dtype=np.int64))
-    stream.skip(n)
+    (total,) = sign_product_sums(stream, ((alpha1, alpha2),), n, workers=workers)
     return CorrelationEstimate.from_product_sum(total, n)

@@ -14,14 +14,15 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
-from .phase import TWO_PI, PhaseModel, chunk_quota, make_phase_stream, substream
+from .phase import TWO_PI, PhaseModel, make_phase_stream, substream
+from .phase import chunk_quota  # unused here; bench/layer_trace.py wraps it by this name
 from .signals import (
     CorrelationEstimate,
     analytic_correlation,
-    dichotomic_array,
+    dichotomic_array,  # unused here; bench/layer_trace.py wraps it by this name
     estimate_correlation,
+    sign_product_sums,
 )
 
 
@@ -75,8 +76,6 @@ def correlation_curve(
     deltas = [float(d) for d in deltas]
     if not deltas:
         raise ValueError("deltas must be non-empty")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     base = make_phase_stream(model)
     points = []
     for i, delta in enumerate(deltas):
@@ -104,26 +103,11 @@ def chsh_classical(
     otherwise each correlator runs on its own substream of ``n`` fresh
     trials.  Either way each term uses ``n`` samples.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     angles = (float(a1), float(a2), float(b1), float(b2))
-    pairs = (
-        (angles[0], angles[2]),
-        (angles[0], angles[3]),
-        (angles[1], angles[2]),
-        (angles[1], angles[3]),
-    )
+    pairs = tuple((a, b) for a in angles[:2] for b in angles[2:])
     base = make_phase_stream(model)
     if shared_trials:
-        totals = [0, 0, 0, 0]
-        for chunk in range(workers):
-            sub = substream(base, chunk, workers)
-            _, phi = sub.take(chunk_quota(n, chunk, workers))
-            signs = {ang: dichotomic_array(phi, ang) for ang in dict.fromkeys(angles)}
-            for k, (x, y) in enumerate(pairs):
-                totals[k] += int((signs[x] * signs[y]).sum(dtype=np.int64))
+        totals = sign_product_sums(base, pairs, n, workers=workers)
         terms = tuple(CorrelationEstimate.from_product_sum(tot, n) for tot in totals)
     else:
         terms = tuple(
@@ -155,5 +139,7 @@ def ks_uniformity(samples: Sequence[float]) -> KsResult:
         raise ValueError("need at least 100 samples")
     if not np.all(np.isfinite(x)) or float(x.min()) < 0.0 or float(x.max()) >= TWO_PI:
         raise ValueError("samples must lie in [0, 2*pi)")
-    statistic = float(_scipy_stats.kstest(x, lambda v: v / TWO_PI).statistic)
+    cdf = np.sort(x) / TWO_PI
+    ranks = np.arange(x.size + 1.0) / x.size
+    statistic = float(max((ranks[1:] - cdf).max(), (cdf - ranks[:-1]).max()))
     return KsResult(statistic, 1.63 / math.sqrt(x.size))

@@ -174,6 +174,24 @@ def test_bad_seed_is_config_error(capsys):
     assert "seed" in err
 
 
+@pytest.mark.parametrize(
+    "burn_in",
+    [
+        "9223372036854775000",  # int64 trial index would wrap silently
+        "10000000000000000000",  # does not fit in int64 at all
+    ],
+)
+def test_trial_index_past_int64_is_config_error(burn_in, capsys):
+    code, out, err = run_cli(
+        ["curve", "--model", "oscillator", "--burn-in", burn_in,
+         "--angles", "0,pi/2", "--trials", "2000"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("phasebit: config error:") and "burn_in" in err
+
+
 def test_run_validates_its_config(capsys):
     config = ExperimentConfig(
         command="chsh", model=PhaseModel(seed=0), trials=10, angles=(0.0,)
@@ -206,3 +224,13 @@ def test_python_m_phasebit_subprocess():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("delta_alpha,")
+
+
+def test_importing_the_cli_loads_no_scipy():
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, phasebit.cli; print([m for m in sys.modules if m.startswith('scipy')])"],
+        capture_output=True, text=True, env=dict(os.environ),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -121,6 +121,16 @@ def test_validate_rejects_bad_fields():
         validate_config(make_config(command="teleport"))
 
 
+def test_validate_trial_index_fits_int64():
+    # curve over 2 angles touches trial indices below trials * 2, each offset by burn_in
+    last = 2**63 - 1 - 100 * 2
+    validate_config(make_config(model=PhaseModel(kind="oscillator", burn_in=last)))
+    with pytest.raises(ConfigError):
+        validate_config(make_config(model=PhaseModel(kind="oscillator", burn_in=last + 1)))
+    with pytest.raises(ConfigError):
+        validate_config(make_config(trials=2**62))
+
+
 def test_validate_chsh_arity():
     with pytest.raises(ConfigError):
         validate_config(make_config(command="chsh", angles=(0.0, 1.0)))

@@ -18,6 +18,7 @@ from phasebit import (
     value_from_bit,
     wrap_angle,
 )
+from phasebit.signals import BLOCK_TRIALS, sign_product_sums
 
 
 def agreement_probability_quadrature(delta, n=2_000_001):
@@ -178,6 +179,27 @@ def test_estimate_worker_count_is_invisible():
             make_phase_stream(model), 0.1, 0.9, 10_001, workers=workers
         )
         assert split == serial  # bit-exact, including stderr
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["iid", "oscillator"])
+def test_kernel_sums_equal_one_take_across_block_boundaries(kind, workers):
+    model = PhaseModel(kind=kind, seed=31)
+    n = 3 * BLOCK_TRIALS + 5
+    pairs = ((0.0, 0.7), (0.7, 2.5), (0.0, 0.0), (-1.0, math.pi))
+    stream = make_phase_stream(model)
+    stream.skip(11)  # start mid-sequence, off any block boundary
+    sums = sign_product_sums(stream, pairs, n, workers=workers)
+    assert stream.position == 11 + n
+
+    reference = make_phase_stream(model)
+    reference.skip(11)
+    _, phi = reference.take(n)
+    expected = [
+        int((dichotomic_array(phi, x).astype(np.int64) * dichotomic_array(phi, y)).sum())
+        for x, y in pairs
+    ]
+    assert sums == expected
 
 
 def test_estimate_advances_the_stream():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from phasebit import (
     analytic_correlation,
     chsh_classical,
     correlation_curve,
+    estimate_correlation,
     ks_uniformity,
     make_phase_stream,
 )
@@ -117,6 +119,27 @@ def test_chsh_classical_validation():
         chsh_classical(PhaseModel(seed=0), *CANONICAL, 0)
     with pytest.raises(ValueError):
         chsh_classical(PhaseModel(seed=0), *CANONICAL, 10, workers=0)
+
+
+@pytest.mark.parametrize("kind", [IID_UNIFORM, OSCILLATOR_ENSEMBLE])
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda model, n: chsh_classical(model, *CANONICAL, n),
+        lambda model, n: estimate_correlation(
+            make_phase_stream(model), 0.0, 1.0, n, workers=3
+        ),
+    ],
+    ids=["chsh_classical", "estimate_correlation"],
+)
+def test_estimator_memory_is_bounded_by_the_block(kind, estimate):
+    tracemalloc.start()
+    try:
+        estimate(PhaseModel(kind=kind, seed=3), 2_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 # ------------------------------------------------------------- ks_uniformity
