@@ -6,9 +6,10 @@ Everything in this package reduces to one stationary random phase on
 * iid: an independent uniform draw per trial, addressed by a counter-based
   hash, so trial t's phase never depends on having generated trials
   0..t-1.
-* oscillator: the wrapped sum of an ensemble of random fixed angular
-  rates. One rate sum advances the phase per trial, and the resulting
-  rotation sequence spreads evenly over the circle.
+* oscillator: an ensemble of random fixed angular rates whose sum, held
+  as a 64-bit fraction of a turn, advances the phase per trial. Integer
+  wraparound is the wrap to one turn, so the rotation is exact at any
+  trial index, and it spreads evenly over the circle.
 
 Both pass a Kolmogorov-Smirnov uniformity check. Counter addressing also
 makes substreams exact: splitting the trial range across workers re-covers

@@ -37,7 +37,6 @@ from .phase import (
     OSCILLATOR_ENSEMBLE,
     TWO_PI,
     PhaseModel,
-    PhaseSample,
     PhaseStream,
     chunk_quota,
     ensemble_frequencies,
@@ -95,7 +94,6 @@ __all__ = [
     "KsResult",
     "OSCILLATOR_ENSEMBLE",
     "PhaseModel",
-    "PhaseSample",
     "PhaseStream",
     "QuantumState",
     "QubitState",

@@ -2,14 +2,15 @@
 
 Everything downstream consumes randomness through :class:`PhaseStream`,
 which yields trial-indexed samples of a stationary random phase on
-``[0, 2*pi)``.  Two models are provided:
+``[0, 2*pi)``.  Both models compute a phase as a uint64 fraction of a turn
+and share one conversion to radians:
 
 * ``iid``: one independent uniform draw per trial, produced by a
   counter-based hash of the trial index, so the phase of any trial can be
   computed directly without generating its predecessors.
-* ``oscillator``: the wrapped sum of an ensemble of fixed random angular
-  rates, a deterministic rotation sequence that equidistributes on
-  ``[0, 2*pi)`` after an optional burn-in.
+* ``oscillator``: the ensemble's rate sum as a uint64 fraction of a turn,
+  times ``t + burn_in``; uint64 wraparound is the wrap to one turn, so the
+  rotation is exact at every trial index and equidistributes on the circle.
 
 Because a phase is a pure function of ``(model, trial index)``, streams are
 reproducible bit-for-bit across runs and platforms, and leapfrog substreams
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +32,8 @@ OSCILLATOR_ENSEMBLE = "oscillator"
 _KINDS = (IID_UNIFORM, OSCILLATOR_ENSEMBLE)
 
 _MAX_SEED = 2**64 - 1
+# keeps the oscillator's rate array at 8 MB
+_MAX_ENSEMBLE = 2**20
 
 # splitmix64: golden-gamma counter increment + Stafford mix13 finalizer.
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -60,23 +62,20 @@ def wrap_angle(x: float) -> float:
     return r
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
+def _hash64(seed: int, counters: np.ndarray) -> np.ndarray:
+    """splitmix64 of each counter: uniform uint64 turns addressed by index."""
+    z = np.uint64(seed) + (counters.astype(np.uint64) + np.uint64(1)) * _GAMMA
     z = (z ^ (z >> np.uint64(30))) * _MIX1
     z = (z ^ (z >> np.uint64(27))) * _MIX2
     return z ^ (z >> np.uint64(31))
 
 
-def _uniform01(seed: int, counters: np.ndarray) -> np.ndarray:
-    """Uniform doubles in [0, 1) addressed by counter index."""
-    z = np.uint64(seed) + (counters.astype(np.uint64) + np.uint64(1)) * _GAMMA
-    return (_mix64(z) >> np.uint64(11)).astype(np.float64) * _INV_2POW53
-
-
-def _uniform01_open(seed: int, counters: np.ndarray) -> np.ndarray:
-    """Uniform doubles in (0, 1] addressed by counter index."""
-    z = np.uint64(seed) + (counters.astype(np.uint64) + np.uint64(1)) * _GAMMA
-    u = (_mix64(z) >> np.uint64(11)) + np.uint64(1)
-    return u.astype(np.float64) * _INV_2POW53
+def _unit(turns: np.ndarray) -> np.ndarray:
+    """The top 53 bits of uint64 turns as doubles in [0, 1); shifts ``turns`` in place."""
+    turns >>= np.uint64(11)
+    u = turns.astype(np.float64)
+    u *= _INV_2POW53
+    return u
 
 
 @dataclass(frozen=True)
@@ -98,18 +97,13 @@ class PhaseModel:
             raise ValueError(f"unknown phase model kind {self.kind!r}; expected one of {_KINDS}")
         if not (0 <= int(self.seed) <= _MAX_SEED):
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if int(self.ensemble_size) < 1:
-            raise ValueError("ensemble_size must be >= 1")
+        if not (1 <= int(self.ensemble_size) <= _MAX_ENSEMBLE):
+            raise ValueError(f"ensemble_size must be in 1..{_MAX_ENSEMBLE}")
         spread = float(self.frequency_spread)
         if not (math.isfinite(spread) and spread > 0.0):
             raise ValueError("frequency_spread must be a positive finite number")
         if int(self.burn_in) < 0:
             raise ValueError("burn_in must be >= 0")
-
-
-class PhaseSample(NamedTuple):
-    t: int
-    phi: float
 
 
 def ensemble_frequencies(model: PhaseModel) -> np.ndarray:
@@ -120,13 +114,8 @@ def ensemble_frequencies(model: PhaseModel) -> np.ndarray:
     """
     if model.kind != OSCILLATOR_ENSEMBLE:
         raise ValueError("ensemble_frequencies only applies to the oscillator model")
-    u = _uniform01_open(model.seed ^ _FREQ_TAG, np.arange(model.ensemble_size, dtype=np.int64))
+    u = _unit(_hash64(model.seed ^ _FREQ_TAG, np.arange(model.ensemble_size))) + _INV_2POW53
     return model.frequency_spread * u
-
-
-def _total_rate(model: PhaseModel) -> float:
-    # fsum keeps the reduction order-independent and platform-stable
-    return math.fsum(ensemble_frequencies(model).tolist())
 
 
 def phases_at(model: PhaseModel, trials: np.ndarray) -> np.ndarray:
@@ -135,9 +124,14 @@ def phases_at(model: PhaseModel, trials: np.ndarray) -> np.ndarray:
     if t.size and int(t.min()) < 0:
         raise ValueError("trial indices must be nonnegative")
     if model.kind == IID_UNIFORM:
-        return _uniform01(model.seed, t) * TWO_PI
-    rate = _total_rate(model)
-    return np.mod(rate * (t + model.burn_in).astype(np.float64), TWO_PI)
+        turns = _hash64(model.seed, t)
+    else:
+        # fsum keeps the rate sum order-independent and platform-stable
+        rate = math.ldexp(math.fsum(ensemble_frequencies(model).tolist()) / TWO_PI % 1.0, 64)
+        turns = t.astype(np.uint64)
+        turns += np.uint64(model.burn_in % 2**64)
+        turns *= np.uint64(int(rate))
+    return _unit(turns) * TWO_PI
 
 
 class PhaseStream:
@@ -173,10 +167,6 @@ class PhaseStream:
         phi = phases_at(self.model, t)
         self._cursor += count
         return t, phi
-
-    def next_sample(self) -> PhaseSample:
-        t, phi = self.take(1)
-        return PhaseSample(int(t[0]), float(phi[0]))
 
     def skip(self, count: int) -> None:
         """Advance the cursor without materializing samples."""

@@ -192,6 +192,16 @@ def test_trial_index_past_int64_is_config_error(burn_in, capsys):
     assert err.startswith("phasebit: config error:") and "burn_in" in err
 
 
+def test_oversized_ensemble_is_config_error(capsys):
+    code, out, err = run_cli(
+        ["curve", "--model", "oscillator", "--ensemble-size", "1048577", "--trials", "10"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("phasebit: config error:") and "ensemble_size" in err
+
+
 def test_run_validates_its_config(capsys):
     config = ExperimentConfig(
         command="chsh", model=PhaseModel(seed=0), trials=10, angles=(0.0,)

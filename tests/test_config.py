@@ -131,6 +131,11 @@ def test_validate_trial_index_fits_int64():
         validate_config(make_config(trials=2**62))
 
 
+def test_build_config_accepts_the_largest_ensemble():
+    config = build_config({"command": "curve", "kind": "oscillator", "ensemble_size": str(2**20)})
+    assert config.model.ensemble_size == 2**20
+
+
 def test_validate_chsh_arity():
     with pytest.raises(ConfigError):
         validate_config(make_config(command="chsh", angles=(0.0, 1.0)))

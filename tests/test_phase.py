@@ -85,6 +85,8 @@ def test_model_rejects_bad_seed():
 def test_model_rejects_bad_ensemble():
     with pytest.raises(ValueError):
         PhaseModel(kind=OSCILLATOR_ENSEMBLE, ensemble_size=0)
+    with pytest.raises(ValueError, match="ensemble_size"):
+        PhaseModel(kind=OSCILLATOR_ENSEMBLE, ensemble_size=2**20 + 1)
     with pytest.raises(ValueError):
         PhaseModel(kind=OSCILLATOR_ENSEMBLE, frequency_spread=0.0)
     with pytest.raises(ValueError):
@@ -108,15 +110,6 @@ def test_stream_trial_indices_count_up():
     t2, _ = stream.take(3)
     assert t2.tolist() == [10, 11, 12]
     assert stream.position == 13
-
-
-def test_next_sample_matches_bulk_take():
-    model = PhaseModel(seed=9)
-    one_by_one = make_phase_stream(model)
-    samples = [one_by_one.next_sample() for _ in range(20)]
-    t, phi = make_phase_stream(model).take(20)
-    assert [s.t for s in samples] == t.tolist()
-    assert [s.phi for s in samples] == phi.tolist()
 
 
 def test_iid_phases_in_range():
@@ -166,6 +159,24 @@ def test_oscillator_burn_in_shifts_the_sequence():
     _, phi_base = make_phase_stream(base).take(20)
     _, phi_burned = make_phase_stream(burned).take(13)
     assert np.array_equal(phi_burned, phi_base[7:])
+
+
+@pytest.mark.parametrize("burn_in", [0, 2**62, 2**64 + 5])
+def test_oscillator_phase_is_exact_at_any_burn_in(burn_in):
+    model = PhaseModel(kind=OSCILLATOR_ENSEMBLE, seed=13, burn_in=burn_in)
+    # the summed angular rate as a 64-bit fraction of a turn
+    r = int(math.ldexp(math.fsum(ensemble_frequencies(model).tolist()) / TWO_PI % 1.0, 64))
+    expected = [
+        ((r * (t + burn_in)) % 2**64 >> 11) * 2**-53 * TWO_PI for t in range(2000)
+    ]
+    assert phases_at(model, np.arange(2000)).tolist() == expected
+
+
+def test_oscillator_phases_stay_distinct_past_2pow53():
+    # a float64 trial index past 2**53 collapses neighbouring trials onto one phase
+    model = PhaseModel(kind=OSCILLATOR_ENSEMBLE, seed=13, burn_in=2**62)
+    _, phi = make_phase_stream(model).take(100_000)
+    assert np.unique(phi).size == 100_000
 
 
 def test_phases_at_rejects_negative_trials():
