@@ -18,9 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .config import (
-    COMMANDS,
-    FORMATS,
-    MODEL_KINDS,
+    KEYS,
     STDOUT_SENTINEL,
     ConfigError,
     ExperimentConfig,
@@ -190,25 +188,21 @@ def run(config: ExperimentConfig) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key = value config file")
-    common.add_argument("--seed", metavar="N", help="64-bit generator seed (default: $PHASEBIT_SEED, then 0)")
-    common.add_argument("--trials", metavar="N", help="samples per estimate (default 10000)")
-    common.add_argument("--model", metavar="KIND", help=f"phase model kind: {' | '.join(MODEL_KINDS)}")
-    common.add_argument("--angles", metavar="LIST", help="comma-separated angles; 'pi' forms allowed, e.g. 0,pi/4,pi/2")
-    common.add_argument("--out", metavar="PATH", help="output file, '-' for stdout (default)")
-    common.add_argument("--format", metavar="FMT", help=f"output format: {' | '.join(FORMATS)}")
-    common.add_argument("--workers", metavar="N", help="substream partition count; never changes results")
-    common.add_argument("--ensemble-size", metavar="N", help="oscillator count for the oscillator model")
-    common.add_argument("--frequency-spread", metavar="X", help="oscillator rate upper bound")
-    common.add_argument("--burn-in", metavar="N", help="oscillator samples discarded before output")
-    common.add_argument("--signal-index", metavar="N", help="which qubit gates acceptance (init)")
-    common.add_argument("--independent-trials", action="store_true",
-                        help="estimate each CHSH correlator on its own trials")
+    for name, key in KEYS.items():
+        if key.flag is None:  # set by the subcommand
+            command = name
+        elif key.metavar is None:  # a switch
+            common.add_argument(
+                key.flag, dest=name, action="store_const", const="false", help=key.help
+            )
+        else:
+            common.add_argument(key.flag, dest=name, metavar=key.metavar, help=key.help)
 
     parser = argparse.ArgumentParser(
         prog="phasebit",
         description="Deterministic experiments on shared-phase dichotomic signals.",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(dest=command, required=True)
     subparsers.add_parser("curve", parents=[common],
                           help="correlation vs angle separation, estimated and exact")
     subparsers.add_parser("chsh", parents=[common],
@@ -222,21 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_KEYS = (
-    ("seed", "seed"),
-    ("trials", "trials"),
-    ("model", "kind"),
-    ("angles", "angles"),
-    ("out", "out"),
-    ("format", "format"),
-    ("workers", "workers"),
-    ("ensemble_size", "ensemble_size"),
-    ("frequency_spread", "frequency_spread"),
-    ("burn_in", "burn_in"),
-    ("signal_index", "signal_index"),
-)
-
-
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     raw: dict[str, str] = {}
     if args.config:
@@ -245,13 +224,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
         raw = read_key_values(text)
-    raw["command"] = args.command
-    for attr, key in _FLAG_KEYS:
-        value = getattr(args, attr)
-        if value is not None:
-            raw[key] = value
-    if args.independent_trials:
-        raw["shared_trials"] = "false"
+    raw.update(
+        (name, value) for name, value in vars(args).items() if name in KEYS and value is not None
+    )
     return build_config(raw)
 
 

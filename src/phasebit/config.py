@@ -3,7 +3,7 @@
 Config files are plain ``key = value`` lines (``#`` comments allowed).
 Angles accept decimal radians or small pi expressions such as ``pi/2``,
 ``3pi/4`` and ``-pi``.  ``serialize_config`` emits a canonical form that
-round-trips exactly through ``parse_config``.
+round-trips exactly through ``parse_config``.  ``KEYS`` lists every key once.
 """
 
 from __future__ import annotations
@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import asdict, dataclass, fields
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .phase import IID_UNIFORM, OSCILLATOR_ENSEMBLE, PhaseModel
+from .signals import MAX_WORKERS
 
 
 class ConfigError(ValueError):
@@ -26,22 +27,6 @@ FORMATS = ("csv", "json")
 MODEL_KINDS = (IID_UNIFORM, OSCILLATOR_ENSEMBLE)
 STDOUT_SENTINEL = "-"
 ENV_SEED = "PHASEBIT_SEED"
-
-_KEYS = (
-    "command",
-    "kind",
-    "seed",
-    "ensemble_size",
-    "frequency_spread",
-    "burn_in",
-    "trials",
-    "angles",
-    "out",
-    "format",
-    "workers",
-    "signal_index",
-    "shared_trials",
-)
 
 _GRID_17 = tuple(k * math.pi / 16 for k in range(17))
 _DEFAULT_ANGLES = {
@@ -104,36 +89,55 @@ def default_angles(command: str) -> tuple[float, ...]:
         raise ConfigError(f"unknown command {command!r}") from None
 
 
-def _parse_int(raw: Mapping[str, str], key: str, default: int) -> int:
-    text = raw.get(key)
-    if text is None:
-        return default
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {text!r}") from None
-
-
-def _parse_float(raw: Mapping[str, str], key: str, default: float) -> float:
-    text = raw.get(key)
-    if text is None:
-        return default
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {text!r}") from None
-
-
-def _parse_bool(raw: Mapping[str, str], key: str, default: bool) -> bool:
-    text = raw.get(key)
-    if text is None:
-        return default
+def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("true", "1", "yes"):
         return True
     if lowered in ("false", "0", "no"):
         return False
-    raise ConfigError(f"{key} must be true or false, got {text!r}")
+    raise ValueError(text)
+
+
+# What a text parser's ValueError says the text should have been.
+_EXPECTED = {int: "an integer", float: "a number", _parse_bool: "true or false"}
+
+
+class Key(NamedTuple):
+    """How one config key is read from text and set on the command line.
+
+    A key without a flag is set by the subcommand; a flag without a
+    metavar is a switch that sets its key to false.
+    """
+
+    parse: Callable[[str], Any]
+    flag: str | None = None
+    metavar: str | None = None
+    help: str | None = None
+    env: str | None = None  # environment variable read when the key is absent
+    field: str | None = None  # dataclass field, when it is not the key's name
+
+
+# Every config key in canonical order, the order of the dataclass fields.
+KEYS = {
+    "command": Key(str),
+    "kind": Key(str, "--model", "KIND", f"phase model kind: {' | '.join(MODEL_KINDS)}"),
+    "seed": Key(int, "--seed", "N", f"64-bit generator seed (default: ${ENV_SEED}, then 0)",
+                env=ENV_SEED),
+    "ensemble_size": Key(int, "--ensemble-size", "N", "oscillator count for the oscillator model"),
+    "frequency_spread": Key(float, "--frequency-spread", "X", "oscillator rate upper bound"),
+    "burn_in": Key(int, "--burn-in", "N", "oscillator samples discarded before output"),
+    "trials": Key(int, "--trials", "N", "samples per estimate (default 10000)"),
+    # blank text keeps the command's default angles
+    "angles": Key(lambda text: parse_angles(text) if text else None, "--angles", "LIST",
+                  "comma-separated angles; 'pi' forms allowed, e.g. 0,pi/4,pi/2"),
+    "out": Key(str, "--out", "PATH", "output file, '-' for stdout (default)", field="out_path"),
+    "format": Key(str, "--format", "FMT", f"output format: {' | '.join(FORMATS)}"),
+    "workers": Key(int, "--workers", "N",
+                   f"1..{MAX_WORKERS} substream partitions; never changes results"),
+    "signal_index": Key(int, "--signal-index", "N", "which qubit gates acceptance (init)"),
+    "shared_trials": Key(_parse_bool, "--independent-trials",
+                         help="estimate each CHSH correlator on its own trials"),
+}
 
 
 def read_key_values(text: str) -> dict[str, str]:
@@ -156,50 +160,34 @@ def build_config(raw: Mapping[str, str]) -> ExperimentConfig:
     The seed falls back to the ``PHASEBIT_SEED`` environment variable when
     absent from ``raw``, and to 0 after that.
     """
-    unknown = sorted(set(raw) - set(_KEYS))
+    unknown = sorted(set(raw) - set(KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    command = raw.get("command")
-    if command is None:
-        raise ConfigError("missing 'command'")
-    if command not in COMMANDS:
-        raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
-
-    kind = raw.get("kind", IID_UNIFORM)
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-    seed_text = raw.get("seed", os.environ.get(ENV_SEED))
-    seed = 0
-    if seed_text is not None:
+    values = {}
+    for name, key in KEYS.items():
+        text = raw.get(name, key.env and os.environ.get(key.env))
+        if text is None:
+            continue
         try:
-            seed = int(seed_text)
+            values[key.field or name] = key.parse(text)
+        except ConfigError:
+            raise
         except ValueError:
-            raise ConfigError(f"seed must be an integer, got {seed_text!r}") from None
+            raise ConfigError(f"{name} must be {_EXPECTED[key.parse]}, got {text!r}") from None
+    model_values = {f.name: values.pop(f.name) for f in fields(PhaseModel) if f.name in values}
     try:
-        model = PhaseModel(
-            kind=kind,
-            seed=seed,
-            ensemble_size=_parse_int(raw, "ensemble_size", 32),
-            frequency_spread=_parse_float(raw, "frequency_spread", 1.0),
-            burn_in=_parse_int(raw, "burn_in", 0),
-        )
+        model = PhaseModel(**model_values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    return validate_config(_experiment(model=model, **values))
 
-    angles_text = raw.get("angles")
-    angles = parse_angles(angles_text) if angles_text else default_angles(command)
-    config = ExperimentConfig(
-        command=command,
-        model=model,
-        trials=_parse_int(raw, "trials", 10_000),
-        angles=angles,
-        out_path=raw.get("out", STDOUT_SENTINEL),
-        format=raw.get("format", "csv"),
-        workers=_parse_int(raw, "workers", 1),
-        signal_index=_parse_int(raw, "signal_index", 0),
-        shared_trials=_parse_bool(raw, "shared_trials", True),
-    )
-    return validate_config(config)
+
+def _experiment(*, command=None, trials=10_000, angles=None, **values) -> ExperimentConfig:
+    """The config from parsed fields, plus the two fallbacks no dataclass default gives."""
+    if command is None:
+        raise ConfigError("missing 'command'")
+    angles = angles or default_angles(command)
+    return ExperimentConfig(command, trials=trials, angles=angles, **values)
 
 
 def validate_config(config: ExperimentConfig) -> ExperimentConfig:
@@ -210,14 +198,15 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"unknown format {config.format!r}; expected one of {FORMATS}")
     if config.trials < 1:
         raise ConfigError("trials must be >= 1")
-    if config.workers < 1:
-        raise ConfigError("workers must be >= 1")
+    if not 1 <= config.workers <= MAX_WORKERS:
+        raise ConfigError(f"workers must be in 1..{MAX_WORKERS}")
     if not config.angles:
         raise ConfigError("angle list must not be empty")
     if any(not math.isfinite(a) for a in config.angles):
         raise ConfigError("angles must be finite")
-    if config.model.burn_in + config.trials * len(config.angles) > 2**63 - 1:
-        raise ConfigError("burn_in + trials * len(angles) exceeds the int64 trial index")
+    # the oscillator wraps burn_in mod 2**64, so only the trial count can overflow
+    if config.trials * len(config.angles) > 2**63 - 1:
+        raise ConfigError("trials * len(angles) exceeds the int64 trial index")
     if config.command == "chsh" and len(config.angles) != 4:
         raise ConfigError(
             f"chsh needs exactly 4 angles (a1, a2, b1, b2), got {len(config.angles)}"
@@ -233,21 +222,16 @@ def parse_config(text: str) -> ExperimentConfig:
     return build_config(read_key_values(text))
 
 
+def _text(value: Any) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ", ".join(repr(a) for a in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical config text; ``parse_config`` inverts it exactly."""
-    lines = [
-        f"command = {config.command}",
-        f"kind = {config.model.kind}",
-        f"seed = {config.model.seed}",
-        f"ensemble_size = {config.model.ensemble_size}",
-        f"frequency_spread = {config.model.frequency_spread!r}",
-        f"burn_in = {config.model.burn_in}",
-        f"trials = {config.trials}",
-        "angles = " + ", ".join(repr(a) for a in config.angles),
-        f"out = {config.out_path}",
-        f"format = {config.format}",
-        f"workers = {config.workers}",
-        f"signal_index = {config.signal_index}",
-        f"shared_trials = {'true' if config.shared_trials else 'false'}",
-    ]
-    return "\n".join(lines) + "\n"
+    values = asdict(config)
+    values.update(values.pop("model"))
+    return "".join(f"{name} = {_text(values[key.field or name])}\n" for name, key in KEYS.items())

@@ -20,6 +20,7 @@ independence an identity rather than an approximation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -118,6 +119,13 @@ def ensemble_frequencies(model: PhaseModel) -> np.ndarray:
     return model.frequency_spread * u
 
 
+@functools.lru_cache(maxsize=16)
+def _rate_turns(model: PhaseModel) -> int:
+    """The ensemble's rate sum as a uint64 fraction of a turn, computed once per model."""
+    # fsum keeps the rate sum order-independent and platform-stable
+    return int(math.ldexp(math.fsum(ensemble_frequencies(model).tolist()) / TWO_PI % 1.0, 64))
+
+
 def phases_at(model: PhaseModel, trials: np.ndarray) -> np.ndarray:
     """Phase values for the given trial indices, each in ``[0, 2*pi)``."""
     t = np.asarray(trials, dtype=np.int64)
@@ -126,11 +134,9 @@ def phases_at(model: PhaseModel, trials: np.ndarray) -> np.ndarray:
     if model.kind == IID_UNIFORM:
         turns = _hash64(model.seed, t)
     else:
-        # fsum keeps the rate sum order-independent and platform-stable
-        rate = math.ldexp(math.fsum(ensemble_frequencies(model).tolist()) / TWO_PI % 1.0, 64)
         turns = t.astype(np.uint64)
         turns += np.uint64(model.burn_in % 2**64)
-        turns *= np.uint64(int(rate))
+        turns *= np.uint64(_rate_turns(model))
     return _unit(turns) * TWO_PI
 
 

@@ -22,6 +22,8 @@ from .phase import PhaseStream, chunk_quota, substream, wrap_angle
 
 # Trials per array pass; bounds memory at O(block) without changing a sum.
 BLOCK_TRIALS = 1 << 16
+# The kernel visits every chunk, empty or not, so the partition count is bounded.
+MAX_WORKERS = 256
 
 
 def dichotomic(phi: float, alpha: float) -> int:
@@ -101,8 +103,8 @@ def sign_product_sums(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be in 1..{MAX_WORKERS}")
     angles = dict.fromkeys(a for pair in pairs for a in pair)
     totals = [0] * len(pairs)
     for chunk in range(workers):

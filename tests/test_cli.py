@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from phasebit import ExperimentConfig, PhaseModel
+from phasebit import ExperimentConfig, PhaseModel, cli
 from phasebit.cli import emit_csv, main, run
+from phasebit.config import KEYS, build_config
 
 CANONICAL_ANGLES = "0,pi/2,pi/4,3pi/4"
 
@@ -177,19 +178,43 @@ def test_bad_seed_is_config_error(capsys):
 @pytest.mark.parametrize(
     "burn_in",
     [
-        "9223372036854775000",  # int64 trial index would wrap silently
-        "10000000000000000000",  # does not fit in int64 at all
+        "9223372036854775000",  # past the int64 range
+        "10000000000000000000",  # past int64, within uint64
     ],
 )
-def test_trial_index_past_int64_is_config_error(burn_in, capsys):
+def test_burn_in_past_int64_runs(burn_in, capsys):
     code, out, err = run_cli(
         ["curve", "--model", "oscillator", "--burn-in", burn_in,
          "--angles", "0,pi/2", "--trials", "2000"],
         capsys,
     )
+    assert code == 0 and err == ""
+    assert out.startswith("delta_alpha,")
+
+
+def test_burn_in_wraps_mod_2pow64(capsys):
+    base = ["chsh", "--model", "oscillator", "--trials", "2000", "--seed", "3"]
+    code, wrapped, _ = run_cli(base + ["--burn-in", str(2**64 + 5)], capsys)
+    assert code == 0
+    assert wrapped == run_cli(base + ["--burn-in", "5"], capsys)[1]
+
+
+def test_trial_index_past_int64_is_config_error(capsys):
+    # two angles draw 2 * 2**62 = 2**63 trial indices, one past int64
+    code, out, err = run_cli(
+        ["curve", "--angles", "0,pi/2", "--trials", str(2**62)], capsys
+    )
     assert code == 2
     assert out == ""
-    assert err.startswith("phasebit: config error:") and "burn_in" in err
+    assert err.startswith("phasebit: config error:") and "trials" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "257"])
+def test_workers_outside_1_to_256_is_config_error(workers, capsys):
+    code, out, err = run_cli(["curve", "--trials", "10", "--workers", workers], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("phasebit: config error:") and "workers" in err
 
 
 def test_oversized_ensemble_is_config_error(capsys):
@@ -207,6 +232,37 @@ def test_run_validates_its_config(capsys):
         command="chsh", model=PhaseModel(seed=0), trials=10, angles=(0.0,)
     )
     assert run(config) == 2
+
+
+# A valid value for each key that differs from its default under `init`.
+FLAG_VALUES = {
+    "kind": "oscillator",
+    "seed": "7",
+    "ensemble_size": "16",
+    "frequency_spread": "0.5",
+    "burn_in": "9",
+    "trials": "123",
+    "angles": "0, pi/4, pi/2",
+    "out": "x.csv",
+    "format": "json",
+    "workers": "3",
+    "signal_index": "1",
+    "shared_trials": "false",
+}
+
+
+@pytest.mark.parametrize("name", [name for name, key in KEYS.items() if key.flag])
+def test_flag_and_config_file_build_equal_configs(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("PHASEBIT_SEED", raising=False)
+    built = []
+    monkeypatch.setattr(cli, "run", lambda config: built.append(config) or 0)
+    key, value = KEYS[name], FLAG_VALUES[name]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{name} = {value}\n", encoding="utf-8")
+    assert main(["init", key.flag] + ([value] if key.metavar else [])) == 0
+    assert main(["init", "--config", str(cfg)]) == 0
+    from_flag, from_file = built
+    assert from_flag == from_file != build_config({"command": "init"})
 
 
 # ---------------------------------------------------------------- emitters

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,7 @@ from phasebit import (
     serialize_config,
     validate_config,
 )
-from phasebit.config import build_config, read_key_values
+from phasebit.config import KEYS, build_config, read_key_values
 
 
 # ------------------------------------------------------------ angle parsing
@@ -114,6 +116,9 @@ def test_validate_rejects_bad_fields():
     with pytest.raises(ConfigError):
         validate_config(make_config(workers=0))
     with pytest.raises(ConfigError):
+        validate_config(make_config(workers=257))
+    validate_config(make_config(workers=256))
+    with pytest.raises(ConfigError):
         validate_config(make_config(format="yaml"))
     with pytest.raises(ConfigError):
         validate_config(make_config(angles=()))
@@ -122,13 +127,12 @@ def test_validate_rejects_bad_fields():
 
 
 def test_validate_trial_index_fits_int64():
-    # curve over 2 angles touches trial indices below trials * 2, each offset by burn_in
-    last = 2**63 - 1 - 100 * 2
-    validate_config(make_config(model=PhaseModel(kind="oscillator", burn_in=last)))
-    with pytest.raises(ConfigError):
-        validate_config(make_config(model=PhaseModel(kind="oscillator", burn_in=last + 1)))
+    # curve over 2 angles touches trial indices below trials * 2
+    validate_config(make_config(trials=2**62 - 1))
     with pytest.raises(ConfigError):
         validate_config(make_config(trials=2**62))
+    # the oscillator wraps burn_in mod 2**64, so it has no upper bound
+    validate_config(make_config(model=PhaseModel(kind="oscillator", burn_in=2**64 + 5)))
 
 
 def test_build_config_accepts_the_largest_ensemble():
@@ -165,7 +169,69 @@ SAMPLE_CONFIGS = [
     },
     {"command": "gates", "angles": "-pi, 0.1, 3pi/4", "out": "gates.csv"},
     {"command": "compare", "shared_trials": "false", "trials": "12345"},
+    {
+        "command": "chsh",
+        "kind": "oscillator",
+        "seed": "18446744073709551615",
+        "frequency_spread": "2",
+        "burn_in": "4611686018427387904",
+        "angles": "0, pi/2, pi/4, 3pi/4",
+        "out": "-",
+        "shared_trials": "yes",
+    },
 ]
+
+_GRID_17 = (
+    "0.0, 0.19634954084936207, 0.39269908169872414, 0.5890486225480862, "
+    "0.7853981633974483, 0.9817477042468103, 1.1780972450961724, 1.3744467859455345, "
+    "1.5707963267948966, 1.7671458676442586, 1.9634954084936207, 2.1598449493429825, "
+    "2.356194490192345, 2.552544031041707, 2.748893571891069, 2.945243112740431, "
+    "3.141592653589793"
+)
+_CHSH = "0.0, 1.5707963267948966, 0.7853981633974483, 2.356194490192345"
+
+
+def _config_text(*pairs):
+    return "".join(f"{key} = {value}\n" for key, value in pairs)
+
+
+# serialize_config's bytes for each sample, as the hand-written serializer printed them
+SERIALIZED = [
+    _config_text(("command", "curve"), ("kind", "iid"), ("seed", 0), ("ensemble_size", 32),
+          ("frequency_spread", 1.0), ("burn_in", 0), ("trials", 10000), ("angles", _GRID_17),
+          ("out", "-"), ("format", "csv"), ("workers", 1), ("signal_index", 0),
+          ("shared_trials", "true")),
+    _config_text(("command", "chsh"), ("kind", "iid"), ("seed", 42), ("ensemble_size", 32),
+          ("frequency_spread", 1.0), ("burn_in", 0), ("trials", 777), ("angles", _CHSH),
+          ("out", "-"), ("format", "json"), ("workers", 1), ("signal_index", 0),
+          ("shared_trials", "true")),
+    _config_text(("command", "init"), ("kind", "oscillator"), ("seed", 0), ("ensemble_size", 16),
+          ("frequency_spread", 0.25), ("burn_in", 100), ("trials", 10000),
+          ("angles", "0.0, 0.7853981633974483, 1.5707963267948966"), ("out", "-"),
+          ("format", "csv"), ("workers", 3), ("signal_index", 2), ("shared_trials", "true")),
+    _config_text(("command", "gates"), ("kind", "iid"), ("seed", 0), ("ensemble_size", 32),
+          ("frequency_spread", 1.0), ("burn_in", 0), ("trials", 10000),
+          ("angles", "-3.141592653589793, 0.1, 2.356194490192345"), ("out", "gates.csv"),
+          ("format", "csv"), ("workers", 1), ("signal_index", 0), ("shared_trials", "true")),
+    _config_text(("command", "compare"), ("kind", "iid"), ("seed", 0), ("ensemble_size", 32),
+          ("frequency_spread", 1.0), ("burn_in", 0), ("trials", 12345), ("angles", _GRID_17),
+          ("out", "-"), ("format", "csv"), ("workers", 1), ("signal_index", 0),
+          ("shared_trials", "false")),
+    _config_text(("command", "chsh"), ("kind", "oscillator"), ("seed", 18446744073709551615),
+          ("ensemble_size", 32), ("frequency_spread", 2.0), ("burn_in", 4611686018427387904),
+          ("trials", 10000), ("angles", _CHSH), ("out", "-"), ("format", "csv"),
+          ("workers", 1), ("signal_index", 0), ("shared_trials", "true")),
+]
+
+
+def test_samples_cover_every_key():
+    assert set().union(*SAMPLE_CONFIGS) == set(KEYS)
+
+
+@pytest.mark.parametrize("raw,text", zip(SAMPLE_CONFIGS, SERIALIZED))
+def test_serialize_config_bytes(raw, text, monkeypatch):
+    monkeypatch.delenv("PHASEBIT_SEED", raising=False)
+    assert serialize_config(build_config(dict(raw))) == text
 
 
 @pytest.mark.parametrize("raw", SAMPLE_CONFIGS)
@@ -175,3 +241,11 @@ def test_serialize_parse_round_trip(raw):
     assert parse_config(text) == config
     # canonical form is a fixed point
     assert serialize_config(parse_config(text)) == text
+
+
+def test_readme_lists_every_key_in_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    keys = re.search(r"\(keys: ([^)]*)\)", readme).group(1)
+    assert re.findall(r"`(\w+)`", keys) == list(KEYS)
+    synopsis = readme.split("## Command line", 1)[1].split("```")[1]
+    assert all(key.flag in synopsis for key in KEYS.values() if key.flag)

@@ -17,6 +17,8 @@ from phasebit import (
     substream,
     wrap_angle,
 )
+from phasebit import phase as phase_module
+from phasebit.signals import BLOCK_TRIALS, sign_product_sums
 from phasebit.stats import ks_uniformity
 
 
@@ -177,6 +179,17 @@ def test_oscillator_phases_stay_distinct_past_2pow53():
     model = PhaseModel(kind=OSCILLATOR_ENSEMBLE, seed=13, burn_in=2**62)
     _, phi = make_phase_stream(model).take(100_000)
     assert np.unique(phi).size == 100_000
+
+
+def test_oscillator_rates_are_drawn_once_per_model(monkeypatch):
+    calls = []
+    draw = phase_module.ensemble_frequencies
+    monkeypatch.setattr(
+        phase_module, "ensemble_frequencies", lambda model: calls.append(model) or draw(model)
+    )
+    stream = make_phase_stream(PhaseModel(kind=OSCILLATOR_ENSEMBLE, seed=20261018))
+    sign_product_sums(stream, ((0.0, 1.0),), 3 * BLOCK_TRIALS)
+    assert len(calls) <= 1
 
 
 def test_phases_at_rejects_negative_trials():

@@ -18,7 +18,7 @@ from phasebit import (
     value_from_bit,
     wrap_angle,
 )
-from phasebit.signals import BLOCK_TRIALS, sign_product_sums
+from phasebit.signals import BLOCK_TRIALS, MAX_WORKERS, sign_product_sums
 
 
 def agreement_probability_quadrature(delta, n=2_000_001):
@@ -244,6 +244,16 @@ def test_estimate_mean_is_average_of_unit_products():
     assert est.stderr == pytest.approx(
         math.sqrt((1 - est.mean**2) / est.n), abs=1e-12
     )
+
+
+def test_kernel_rejects_bad_counts():
+    stream = make_phase_stream(PhaseModel(seed=0))
+    for n, workers in [(0, 1), (10, 0), (10, MAX_WORKERS + 1)]:
+        with pytest.raises(ValueError):
+            sign_product_sums(stream, ((0.0, 1.0),), n, workers=workers)
+    assert stream.position == 0
+    serial = sign_product_sums(make_phase_stream(PhaseModel(seed=0)), ((0.0, 1.0),), 300)
+    assert sign_product_sums(stream, ((0.0, 1.0),), 300, workers=MAX_WORKERS) == serial
 
 
 def test_from_product_sum_validation():
