@@ -46,6 +46,7 @@ from .phase import (
     wrap_angle,
 )
 from .register import (
+    AcceptedTrials,
     Balanced,
     Definite,
     QubitState,
@@ -60,12 +61,10 @@ from .register import (
 from .signals import (
     CorrelationEstimate,
     analytic_correlation,
-    bit_from_value,
     conditional_same_color_probability,
     dichotomic,
     dichotomic_array,
     estimate_correlation,
-    value_from_bit,
 )
 from .stats import (
     ChshResult,
@@ -80,6 +79,7 @@ from .stats import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "AcceptedTrials",
     "Balanced",
     "COMMANDS",
     "ChshResult",
@@ -106,7 +106,6 @@ __all__ = [
     "apply_cnot_to_records",
     "apply_hadamard",
     "basis_state",
-    "bit_from_value",
     "chsh_classical",
     "chsh_quantum",
     "chunk_quota",
@@ -133,6 +132,5 @@ __all__ = [
     "singlet_state",
     "substream",
     "validate_config",
-    "value_from_bit",
     "wrap_angle",
 ]

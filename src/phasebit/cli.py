@@ -116,9 +116,9 @@ def _run_init(config: ExperimentConfig):
     )
     records = initialize(register, config.trials)
     n_accepted = len(records)
+    ones_per_qubit = records.bits.sum(axis=1).tolist()
     rows = []
-    for q, alpha in enumerate(register.angles):
-        ones = sum(rec.bits[q] for rec in records)
+    for q, (alpha, ones) in enumerate(zip(register.angles, ones_per_qubit)):
         if n_accepted:
             p_bit0 = (n_accepted - ones) / n_accepted
             stderr = math.sqrt(p_bit0 * (1.0 - p_bit0) / n_accepted)

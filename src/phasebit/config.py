@@ -127,8 +127,7 @@ KEYS = {
     "frequency_spread": Key(float, "--frequency-spread", "X", "oscillator rate upper bound"),
     "burn_in": Key(int, "--burn-in", "N", "oscillator samples discarded before output"),
     "trials": Key(int, "--trials", "N", "samples per estimate (default 10000)"),
-    # blank text keeps the command's default angles
-    "angles": Key(lambda text: parse_angles(text) if text else None, "--angles", "LIST",
+    "angles": Key(parse_angles, "--angles", "LIST",
                   "comma-separated angles; 'pi' forms allowed, e.g. 0,pi/4,pi/2"),
     "out": Key(str, "--out", "PATH", "output file, '-' for stdout (default)", field="out_path"),
     "format": Key(str, "--format", "FMT", f"output format: {' | '.join(FORMATS)}"),

@@ -11,12 +11,12 @@ it, which post-selects the register into an initialized state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
 from .phase import PhaseStream, wrap_angle
-from .signals import dichotomic_array
+from .signals import BLOCK_TRIALS, dichotomic_array
 
 
 @dataclass(frozen=True)
@@ -99,21 +99,57 @@ def measure_trial(register: VirtualRegister) -> TrialRecord:
     return TrialRecord(int(t[0]), tuple(int(b) for b in bits), bool(accepted))
 
 
-def initialize(register: VirtualRegister, trials: int) -> list[TrialRecord]:
+class AcceptedTrials(Sequence[TrialRecord]):
+    """Accepted trials as two arrays; a ``TrialRecord`` is built only when read.
+
+    ``t`` holds the trial indices (int64) and ``bits`` the bit columns, one
+    row per qubit (int8), so a trial costs ``8 + qubits`` bytes.  Compares
+    equal to any sequence of the same records.
+    """
+
+    def __init__(self, t: np.ndarray, bits: np.ndarray) -> None:
+        self.t = t
+        self.bits = bits
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return AcceptedTrials(self.t[index], self.bits[:, index])
+        return TrialRecord(int(self.t[index]), tuple(self.bits[:, index].tolist()), True)
+
+    def __iter__(self) -> Iterator[TrialRecord]:
+        for start in range(0, len(self), BLOCK_TRIALS):
+            block = self[start : start + BLOCK_TRIALS]
+            for t, bits in zip(block.t.tolist(), block.bits.T.tolist()):
+                yield TrialRecord(t, tuple(bits), True)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+def initialize(register: VirtualRegister, trials: int) -> AcceptedTrials:
     """Measure ``trials`` times and keep only the accepted records.
 
     A trial is accepted when the signal qubit reads bit 0 (green); rejected
     trials produce no output at all.  Every returned record therefore has
-    signal bit 0.
+    signal bit 0.  The stream is walked in blocks of ``BLOCK_TRIALS``, and
+    the result is an array-backed sequence of ``TrialRecord``s (``.t``,
+    ``.bits``) that costs about ``8 + qubits`` bytes per accepted trial.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    t, phi = register.stream.take(trials)
-    bits = _trial_bits(register.qubits, phi)
-    keep = np.flatnonzero(bits[register.signal_index] == 0)
-    return [
-        TrialRecord(int(t[i]), tuple(int(b) for b in bits[:, i]), True) for i in keep
-    ]
+    kept_t, kept_bits = [], []
+    for done in range(0, trials, BLOCK_TRIALS):
+        t, phi = register.stream.take(min(BLOCK_TRIALS, trials - done))
+        bits = _trial_bits(register.qubits, phi)
+        keep = bits[register.signal_index] == 0
+        kept_t.append(t[keep])
+        kept_bits.append(bits[:, keep])
+    return AcceptedTrials(np.concatenate(kept_t), np.concatenate(kept_bits, axis=1))
 
 
 def hadamard(q: QubitState, default_alpha: float = 0.0) -> QubitState:

@@ -40,24 +40,6 @@ def dichotomic_array(phi: np.ndarray, alpha: float) -> np.ndarray:
     return np.where(c >= 0.0, 1, -1).astype(np.int8)
 
 
-def bit_from_value(value: int) -> int:
-    """Map a signal value to its bit: ``+1`` ("green") -> 0, ``-1`` ("red") -> 1."""
-    if value == 1:
-        return 0
-    if value == -1:
-        return 1
-    raise ValueError(f"signal value must be +1 or -1, got {value!r}")
-
-
-def value_from_bit(bit: int) -> int:
-    """Inverse of :func:`bit_from_value`."""
-    if bit == 0:
-        return 1
-    if bit == 1:
-        return -1
-    raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-
-
 @dataclass(frozen=True)
 class CorrelationEstimate:
     """Monte Carlo mean of ``+-1`` products with its normal-approximation error."""

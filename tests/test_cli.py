@@ -150,6 +150,21 @@ def test_missing_config_file_is_a_config_error(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("angles", ["", " ", ","])
+def test_empty_angle_flag_is_a_config_error(angles, capsys):
+    code, out, err = run_cli(["curve", "--trials", "10", "--angles", angles], capsys)
+    assert code == 2 and out == ""
+    assert err == "phasebit: config error: empty angle list\n"
+
+
+def test_empty_angle_key_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("command = curve\ntrials = 10\nangles =\n", encoding="utf-8")
+    code, out, err = run_cli(["curve", "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert err == "phasebit: config error: empty angle list\n"
+
+
 def test_env_seed_matches_explicit_seed(tmp_path, monkeypatch):
     out_env, out_flag = tmp_path / "env.csv", tmp_path / "flag.csv"
     monkeypatch.setenv("PHASEBIT_SEED", "77")

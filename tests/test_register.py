@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from phasebit import (
+    AcceptedTrials,
     Balanced,
     Definite,
     PhaseModel,
@@ -18,6 +20,8 @@ from phasebit import (
     make_phase_stream,
     measure_trial,
 )
+from phasebit.register import _trial_bits
+from phasebit.signals import BLOCK_TRIALS
 
 
 def fresh_register(qubits, seed=42, signal_index=0):
@@ -136,6 +140,63 @@ def test_shared_phase_correlation_between_qubits():
     mean = float((values[:, 0] * values[:, 1]).mean())
     stderr = math.sqrt((1 - mean**2) / len(records))
     assert abs(mean - analytic_correlation(alpha_k - alpha_l)) <= 4 * stderr
+
+
+@pytest.mark.parametrize("signal_index", [0, 2])
+@pytest.mark.parametrize("kind", ["iid", "oscillator"])
+def test_blocked_initialize_equals_one_unblocked_take(kind, signal_index):
+    qubits = [Balanced(0.3), Definite(1), Balanced(2.1), Definite(0), Balanced(-1.2)]
+    model = PhaseModel(kind=kind, seed=17)
+    trials = 2 * BLOCK_TRIALS + 5
+    stream = make_phase_stream(model)
+    stream.skip(13)  # start mid-sequence, off any block boundary
+    records = initialize(VirtualRegister(qubits, stream, signal_index), trials)
+    assert stream.position == 13 + trials
+
+    reference = make_phase_stream(model)
+    reference.skip(13)
+    t, phi = reference.take(trials)
+    bits = _trial_bits(qubits, phi)
+    expected = [
+        TrialRecord(int(t[i]), tuple(int(b) for b in bits[:, i]), True)
+        for i in np.flatnonzero(bits[signal_index] == 0)
+    ]
+    assert 0 < len(expected) < trials
+    assert list(records) == expected
+
+
+def test_initialize_memory_does_not_grow_with_records():
+    reg = fresh_register([Balanced(0.4 * k) for k in range(8)], seed=3)
+    tracemalloc.start()
+    try:
+        records = initialize(reg, 1_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 400_000 < len(records) < 600_000
+    assert peak < 32 * 2**20
+
+
+def test_accepted_trials_behave_like_a_list():
+    reg = fresh_register([Balanced(0.0), Balanced(1.1), Definite(1)], seed=6)
+    records = initialize(reg, 50)
+    as_list = list(records)
+    assert isinstance(records, AcceptedTrials)
+    assert len(records) == len(as_list) > 2
+    assert records[-1] == as_list[-1]
+    assert records[1:3] == as_list[1:3]
+    assert [r for r in records] == as_list
+    assert records == as_list and as_list == records
+    assert not (records != as_list) and not (as_list != records)
+    assert records != as_list[:-1] and as_list[:-1] != records
+    assert apply_cnot_to_records(records, 1, 2) == apply_cnot_to_records(as_list, 1, 2)
+
+
+def test_no_accepted_trial_gives_an_empty_sequence():
+    records = initialize(fresh_register([Definite(1), Balanced(0.5)]), 100)
+    assert records == [] and [] == records
+    assert len(records) == 0 and list(records) == []
+    assert records.bits.shape == (2, 0)
 
 
 # ----------------------------------------------------------------- hadamard

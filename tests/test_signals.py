@@ -9,13 +9,11 @@ from phasebit import (
     PhaseModel,
     TWO_PI,
     analytic_correlation,
-    bit_from_value,
     conditional_same_color_probability,
     dichotomic,
     dichotomic_array,
     estimate_correlation,
     make_phase_stream,
-    value_from_bit,
     wrap_angle,
 )
 from phasebit.signals import BLOCK_TRIALS, MAX_WORKERS, sign_product_sums
@@ -66,19 +64,6 @@ def test_dichotomic_antisymmetry(phi, alpha):
 def test_dichotomic_shift_invariance(phi, alpha, k):
     assume(abs(math.cos(phi + alpha)) > 1e-9)
     assert dichotomic(phi, alpha + TWO_PI * k) == dichotomic(phi, alpha)
-
-
-def test_bit_mapping_round_trip():
-    assert bit_from_value(1) == 0
-    assert bit_from_value(-1) == 1
-    assert value_from_bit(0) == 1
-    assert value_from_bit(1) == -1
-    for v in (1, -1):
-        assert value_from_bit(bit_from_value(v)) == v
-    with pytest.raises(ValueError):
-        bit_from_value(0)
-    with pytest.raises(ValueError):
-        value_from_bit(2)
 
 
 # ------------------------------------------------------- analytic correlator
