@@ -42,7 +42,11 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 # xor tag keeping the oscillator frequency draw off the phase counter space
 _FREQ_TAG = 0xB5AD4ECEDA1CE2A9
-_INV_2POW53 = 1.0 / 9007199254740992.0
+
+# A phase is ``k / PHASE_STEPS`` of a turn; its step ``k`` is the top 53 bits of its uint64 turns.
+PHASE_STEPS = 2**53
+_STEP_SHIFT = np.uint64(64 - 53)
+_INV_2POW53 = 1.0 / PHASE_STEPS
 
 
 def wrap_angle(x: float) -> float:
@@ -65,15 +69,24 @@ def wrap_angle(x: float) -> float:
 
 def _hash64(seed: int, counters: np.ndarray) -> np.ndarray:
     """splitmix64 of each counter: uniform uint64 turns addressed by index."""
-    z = np.uint64(seed) + (counters.astype(np.uint64) + np.uint64(1)) * _GAMMA
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    z = counters.astype(np.uint64)
+    z += np.uint64(1)
+    z *= _GAMMA
+    z += np.uint64(seed)
+    shifted = np.right_shift(z, np.uint64(30))
+    z ^= shifted
+    z *= _MIX1
+    np.right_shift(z, np.uint64(27), out=shifted)
+    z ^= shifted
+    z *= _MIX2
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
+    return z
 
 
 def _unit(turns: np.ndarray) -> np.ndarray:
     """The top 53 bits of uint64 turns as doubles in [0, 1); shifts ``turns`` in place."""
-    turns >>= np.uint64(11)
+    turns >>= _STEP_SHIFT
     u = turns.astype(np.float64)
     u *= _INV_2POW53
     return u
@@ -126,18 +139,31 @@ def _rate_turns(model: PhaseModel) -> int:
     return int(math.ldexp(math.fsum(ensemble_frequencies(model).tolist()) / TWO_PI % 1.0, 64))
 
 
-def phases_at(model: PhaseModel, trials: np.ndarray) -> np.ndarray:
-    """Phase values for the given trial indices, each in ``[0, 2*pi)``."""
+def turns_at(model: PhaseModel, trials: np.ndarray) -> np.ndarray:
+    """Phases of the given trial indices as uint64 fractions of a turn."""
     t = np.asarray(trials, dtype=np.int64)
     if t.size and int(t.min()) < 0:
         raise ValueError("trial indices must be nonnegative")
     if model.kind == IID_UNIFORM:
-        turns = _hash64(model.seed, t)
-    else:
-        turns = t.astype(np.uint64)
-        turns += np.uint64(model.burn_in % 2**64)
-        turns *= np.uint64(_rate_turns(model))
-    return _unit(turns) * TWO_PI
+        return _hash64(model.seed, t)
+    turns = t.astype(np.uint64)
+    turns += np.uint64(model.burn_in % 2**64)
+    turns *= np.uint64(_rate_turns(model))
+    return turns
+
+
+def phases_at(model: PhaseModel, trials: np.ndarray) -> np.ndarray:
+    """Phase values for the given trial indices, each in ``[0, 2*pi)``."""
+    return _unit(turns_at(model, trials)) * TWO_PI
+
+
+def step_phase(step: int) -> float:
+    """The phase in radians of every trial whose turns have the given top 53 bits.
+
+    Python floats round like numpy's float64, so this equals what
+    :func:`phases_at` computes for those trials.
+    """
+    return step * _INV_2POW53 * TWO_PI
 
 
 class PhaseStream:
@@ -165,14 +191,28 @@ class PhaseStream:
         """Number of samples drawn (or skipped) so far."""
         return self._cursor
 
-    def take(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw the next ``count`` samples as ``(trial_indices, phases)`` arrays."""
+    def _next_trials(self, count: int) -> np.ndarray:
         if count < 0:
             raise ValueError("count must be >= 0")
-        t = self.start + self.stride * (self._cursor + np.arange(count, dtype=np.int64))
+        return self.start + self.stride * (self._cursor + np.arange(count, dtype=np.int64))
+
+    def take(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Draw the next ``count`` samples as ``(trial_indices, phases)`` arrays."""
+        t = self._next_trials(count)
         phi = phases_at(self.model, t)
         self._cursor += count
         return t, phi
+
+    def take_steps(self, count: int) -> np.ndarray:
+        """Draw the next ``count`` samples as uint64 phase steps, with no float phase.
+
+        A sample's step ``k`` is the top 53 bits of its turns, and its phase
+        is :func:`step_phase` of ``k``.
+        """
+        steps = turns_at(self.model, self._next_trials(count))
+        steps >>= _STEP_SHIFT
+        self._cursor += count
+        return steps
 
     def skip(self, count: int) -> None:
         """Advance the cursor without materializing samples."""

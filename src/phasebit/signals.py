@@ -7,18 +7,26 @@ to ``+1``.  Two signals sharing the same phase, with detector angles
 ``delta`` is wrapped to ``(-pi, pi]``: fully correlated at ``delta = 0``,
 uncorrelated at ``+-pi/2``, anticorrelated at ``pi``.
 
-Estimates keep their ``+-1`` product sums in integer arithmetic, so a
-partitioned (multi-worker) evaluation reproduces the serial result exactly.
+The estimator evaluates no cosine per trial.  A phase is one of
+``PHASE_STEPS`` steps of a turn, and the signal at a fixed angle is constant
+on a few whole runs of steps.  The runs' edges are found once per angle by
+bisecting on the step; each block of trials then only counts how many of
+its steps fall below each edge.  The signal on each run is read from
+:func:`dichotomic_array` at the run's first step, so that predicate stays
+the authority for every estimate.  Counts and ``+-1`` product sums are
+integers, so a partitioned (multi-worker) evaluation reproduces the serial
+result exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .phase import PhaseStream, chunk_quota, substream, wrap_angle
+from .phase import PHASE_STEPS, PhaseStream, chunk_quota, step_phase, substream, wrap_angle
 
 # Trials per array pass; bounds memory at O(block) without changing a sum.
 BLOCK_TRIALS = 1 << 16
@@ -73,32 +81,76 @@ def conditional_same_color_probability(delta: float) -> float:
     return 1.0 - abs(wrap_angle(delta)) / math.pi
 
 
+@functools.lru_cache(maxsize=256)
+def sign_edges(alpha: float) -> tuple[int, ...]:
+    """The sorted steps ``k`` whose signal at ``alpha`` differs from the signal at ``k - 1``.
+
+    ``step_phase(k) + alpha`` never decreases as ``k`` grows, and the cosine
+    changes sign only at its roots, which lie ``pi`` apart.  The step range
+    is split until each piece spans less than 3 radians or one step, so it
+    holds at most one edge, and each piece whose end signals differ is
+    bisected to that edge.  Pure-Python floats round as numpy's float64 does.
+    """
+
+    def signal(k: int) -> int:
+        return dichotomic(step_phase(k), alpha)
+
+    edges = []
+    pieces = [(0, PHASE_STEPS - 1)]
+    while pieces:
+        lo, hi = pieces.pop()
+        if hi - lo > 1 and (step_phase(hi) + alpha) - (step_phase(lo) + alpha) >= 3.0:
+            mid = (lo + hi) // 2
+            pieces += [(mid, hi), (lo, mid)]
+            continue
+        low_signal = signal(lo)
+        if signal(hi) == low_signal:
+            continue
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if signal(mid) == low_signal:
+                lo = mid
+            else:
+                hi = mid
+        edges.append(hi)
+    return tuple(sorted(edges))
+
+
 def sign_product_sums(
     stream: PhaseStream, pairs: tuple[tuple[float, float], ...], n: int, *, workers: int = 1
 ) -> list[int]:
     """Exact sums of ``s(x) * s(y)`` over the next ``n`` trials, one per pair ``(x, y)``.
 
-    The stream's cursor advances by ``n``.  ``workers`` splits the trials
-    into leapfrog substreams, walked in blocks of ``BLOCK_TRIALS`` that
-    evaluate each distinct angle once; integer sums make the result
-    independent of both the partition and the blocking.
+    Angles are wrapped to ``(-pi, pi]`` first.  The union of the angles'
+    :func:`sign_edges` cuts the steps into runs on which every signal is
+    constant.  ``workers`` splits the trials into leapfrog substreams,
+    walked in blocks of ``BLOCK_TRIALS`` that count the steps below each
+    edge; one :func:`dichotomic_array` call per angle on the runs' first
+    steps gives the signals, and each sum is the run counts weighted by
+    ``s(x) * s(y)``.  Integer counts make the result independent of both
+    the partition and the blocking.  The stream's cursor advances by ``n``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in 1..{MAX_WORKERS}")
+    pairs = [(wrap_angle(x), wrap_angle(y)) for x, y in pairs]
     angles = dict.fromkeys(a for pair in pairs for a in pair)
-    totals = [0] * len(pairs)
+    edges = sorted(set().union(*(sign_edges(a) for a in angles)))
+    bounds = np.array(edges, dtype=np.uint64)
+    below = [0] * len(edges)
     for chunk in range(workers):
         sub = substream(stream, chunk, workers)
         quota = chunk_quota(n, chunk, workers)
         while sub.position < quota:
-            _, phi = sub.take(min(BLOCK_TRIALS, quota - sub.position))
-            signs = {a: dichotomic_array(phi, a) for a in angles}
-            for k, (x, y) in enumerate(pairs):
-                totals[k] += int((signs[x] * signs[y]).sum(dtype=np.int64))
+            steps = sub.take_steps(min(BLOCK_TRIALS, quota - sub.position))
+            for j, bound in enumerate(bounds):
+                below[j] += int(np.count_nonzero(steps < bound))
     stream.skip(n)
-    return totals
+    runs = np.diff(np.array([0, *below, n], dtype=np.int64))
+    first_phases = np.array([step_phase(k) for k in (0, *edges)])
+    signs = {a: dichotomic_array(first_phases, a).astype(np.int64) for a in angles}
+    return [int((runs * signs[x] * signs[y]).sum()) for x, y in pairs]
 
 
 def estimate_correlation(

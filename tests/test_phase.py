@@ -192,6 +192,42 @@ def test_oscillator_rates_are_drawn_once_per_model(monkeypatch):
     assert len(calls) <= 1
 
 
+@pytest.mark.parametrize(
+    "seed,counter,expected",
+    [
+        # seed 0, counter 0 is splitmix64's published first output for seed 0
+        (0, 0, 0xE220A8397B1DCDAF),
+        (0, 1, 0x6E789E6AA1B965F4),
+        (42, 123456789, 0x3DB9D96568CDF223),
+        (2**64 - 1, 0, 0xE4D971771B652C20),
+        (2**64 - 1, 2**62 + 12345, 0x835ECA2D5F5B5EF9),
+    ],
+)
+def test_hash64_pinned_values(seed, counter, expected):
+    out = phase_module._hash64(seed, np.array([counter, counter], dtype=np.int64))
+    assert out.dtype == np.uint64
+    assert out.tolist() == [expected, expected]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        PhaseModel(seed=2**64 - 1),
+        PhaseModel(kind=OSCILLATOR_ENSEMBLE, seed=9, burn_in=2**62 + 12345),
+    ],
+    ids=["iid", "oscillator"],
+)
+def test_phase_steps_give_the_phases_of_take(model):
+    stream, steps_stream = make_phase_stream(model), make_phase_stream(model)
+    stream.skip(7)
+    steps_stream.skip(7)
+    _, phi = stream.take(2000)
+    steps = steps_stream.take_steps(2000)
+    assert steps_stream.position == stream.position
+    assert steps.dtype == np.uint64 and int(steps.max()) < phase_module.PHASE_STEPS
+    assert [phase_module.step_phase(k) for k in steps.tolist()] == phi.tolist()
+
+
 def test_phases_at_rejects_negative_trials():
     with pytest.raises(ValueError):
         phases_at(PhaseModel(seed=0), np.array([-1]))

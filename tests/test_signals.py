@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from phasebit import (
     CorrelationEstimate,
@@ -16,7 +16,9 @@ from phasebit import (
     make_phase_stream,
     wrap_angle,
 )
-from phasebit.signals import BLOCK_TRIALS, MAX_WORKERS, sign_product_sums
+from phasebit import signals
+from phasebit.phase import OSCILLATOR_ENSEMBLE, PHASE_STEPS, step_phase
+from phasebit.signals import BLOCK_TRIALS, MAX_WORKERS, sign_edges, sign_product_sums
 
 
 def agreement_probability_quadrature(delta, n=2_000_001):
@@ -185,6 +187,86 @@ def test_kernel_sums_equal_one_take_across_block_boundaries(kind, workers):
         for x, y in pairs
     ]
     assert sums == expected
+
+
+KERNEL_MODELS = [
+    PhaseModel(seed=31),
+    PhaseModel(kind=OSCILLATOR_ENSEMBLE, seed=31, burn_in=2**62 + 12345),
+]
+ANGLES = st.one_of(
+    st.floats(min_value=-math.pi, max_value=math.pi),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(KERNEL_MODELS),
+    st.integers(min_value=1, max_value=3),
+    st.lists(st.tuples(ANGLES, ANGLES), min_size=1, max_size=4),
+)
+def test_kernel_sums_equal_one_unblocked_take(model, workers, pairs):
+    n = 2 * BLOCK_TRIALS + 7
+    stream = make_phase_stream(model)
+    stream.skip(1234)
+    sums = sign_product_sums(stream, tuple(pairs), n, workers=workers)
+
+    reference = make_phase_stream(model)
+    reference.skip(1234)
+    _, phi = reference.take(n)
+    signs = {a: dichotomic_array(phi, wrap_angle(a)).astype(np.int64) for p in pairs for a in p}
+    assert sums == [int((signs[x] * signs[y]).sum()) for x, y in pairs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANGLES)
+@example(math.pi)
+@example(-math.pi)
+@example(math.nextafter(-math.pi, 0.0))
+@example(5e-324)
+@example(-5e-324)
+@example(math.pi / 2)
+@example(math.nextafter(math.pi / 2, 0.0))
+# unwrapped angles whose float sum with a phase jumps by 8 rad between two steps
+@example(2.0**55)
+@example(-(2.0**55))
+def test_each_sign_edge_flips_the_reference_signal(alpha):
+    edges = sign_edges(alpha)
+    assert list(edges) == sorted(set(edges))
+    assert all(0 < e < PHASE_STEPS for e in edges)
+    if -math.pi < alpha <= math.pi:
+        assert edges
+    before = dichotomic_array(np.array([step_phase(e - 1) for e in edges]), alpha)
+    at = dichotomic_array(np.array([step_phase(e) for e in edges]), alpha)
+    assert (before != at).all()
+
+
+@pytest.mark.parametrize("model", KERNEL_MODELS, ids=["iid", "oscillator"])
+def test_kernel_evaluates_no_signal_per_trial(model, monkeypatch):
+    evaluated = []
+    reference = signals.dichotomic_array
+
+    def counting(phi, alpha):
+        evaluated.append(len(phi))
+        return reference(phi, alpha)
+
+    monkeypatch.setattr(signals, "dichotomic_array", counting)
+    pairs = ((0.0, 0.7), (0.7, 2.5), (-1.0, math.pi))
+    per_call = []
+    for n in (1, 3 * BLOCK_TRIALS + 5):
+        evaluated.clear()
+        sign_product_sums(make_phase_stream(model), pairs, n)
+        per_call.append(sum(evaluated))
+    assert per_call[0] == per_call[1] > 0
+
+
+@pytest.mark.parametrize("model", KERNEL_MODELS, ids=["iid", "oscillator"])
+@pytest.mark.parametrize("alpha", [1e16, 1e300, -1e17, 0.5 + TWO_PI * 1e6])
+def test_angles_outside_the_canonical_range_read_their_wrapped_signal(model, alpha):
+    n = 100_000
+    est = estimate_correlation(make_phase_stream(model), 0.0, alpha, n)
+    assert est == estimate_correlation(make_phase_stream(model), 0.0, wrap_angle(alpha), n)
+    assert abs(est.mean - analytic_correlation(alpha)) <= 4 * est.stderr
 
 
 def test_estimate_advances_the_stream():
