@@ -158,11 +158,11 @@ def _run_compare(config: ExperimentConfig):
 
 
 _RUNNERS = {
-    "curve": _run_curve,
-    "chsh": _run_chsh,
-    "init": _run_init,
-    "gates": _run_gates,
-    "compare": _run_compare,
+    "curve": (_run_curve, "correlation vs angle separation, estimated and exact"),
+    "chsh": (_run_chsh, "classical CHSH estimate next to the exact quantum value"),
+    "init": (_run_init, "post-selected register initialization statistics"),
+    "gates": (_run_gates, "CNOT truth table and Hadamard rules on qubit states"),
+    "compare": (_run_compare, "classical triangle vs quantum cosine correlation curves"),
 }
 
 
@@ -174,7 +174,7 @@ def run(config: ExperimentConfig) -> int:
         print(f"phasebit: config error: {exc}", file=sys.stderr)
         return 2
     try:
-        fieldnames, rows = _RUNNERS[config.command](config)
+        fieldnames, rows = _RUNNERS[config.command][0](config)
         if config.format == "csv":
             emit_csv(fieldnames, rows, config.out_path)
         else:
@@ -203,16 +203,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Deterministic experiments on shared-phase dichotomic signals.",
     )
     subparsers = parser.add_subparsers(dest=command, required=True)
-    subparsers.add_parser("curve", parents=[common],
-                          help="correlation vs angle separation, estimated and exact")
-    subparsers.add_parser("chsh", parents=[common],
-                          help="classical CHSH estimate next to the exact quantum value")
-    subparsers.add_parser("init", parents=[common],
-                          help="post-selected register initialization statistics")
-    subparsers.add_parser("gates", parents=[common],
-                          help="CNOT truth table and Hadamard rules on qubit states")
-    subparsers.add_parser("compare", parents=[common],
-                          help="classical triangle vs quantum cosine correlation curves")
+    for name, (_, help_text) in _RUNNERS.items():
+        subparsers.add_parser(name, parents=[common], help=help_text)
     return parser
 
 

@@ -97,7 +97,8 @@ class PhaseModel:
     """Configuration of a reproducible phase process.
 
     ``ensemble_size``, ``frequency_spread`` and ``burn_in`` apply to the
-    ``oscillator`` kind only and sit at their defaults otherwise.
+    ``oscillator`` kind only and sit at their defaults otherwise.  An
+    oscillator whose rate sum overflows or never turns the phase is rejected.
     """
 
     kind: str = IID_UNIFORM
@@ -118,6 +119,13 @@ class PhaseModel:
             raise ValueError("frequency_spread must be a positive finite number")
         if int(self.burn_in) < 0:
             raise ValueError("burn_in must be >= 0")
+        if self.kind == OSCILLATOR_ENSEMBLE:
+            try:
+                turns = _rate_turns(self)
+            except OverflowError:  # fsum of rates past the float range
+                turns = 0
+            if turns == 0:
+                raise ValueError("frequency_spread must give a finite rate sum that turns the phase")
 
 
 def ensemble_frequencies(model: PhaseModel) -> np.ndarray:
@@ -139,22 +147,20 @@ def _rate_turns(model: PhaseModel) -> int:
     return int(math.ldexp(math.fsum(ensemble_frequencies(model).tolist()) / TWO_PI % 1.0, 64))
 
 
-def turns_at(model: PhaseModel, trials: np.ndarray) -> np.ndarray:
-    """Phases of the given trial indices as uint64 fractions of a turn."""
+def phases_at(model: PhaseModel, trials: np.ndarray) -> np.ndarray:
+    """Phase values for the given trial indices, each in ``[0, 2*pi)``."""
     t = np.asarray(trials, dtype=np.int64)
     if t.size and int(t.min()) < 0:
         raise ValueError("trial indices must be nonnegative")
     if model.kind == IID_UNIFORM:
-        return _hash64(model.seed, t)
-    turns = t.astype(np.uint64)
-    turns += np.uint64(model.burn_in % 2**64)
-    turns *= np.uint64(_rate_turns(model))
-    return turns
-
-
-def phases_at(model: PhaseModel, trials: np.ndarray) -> np.ndarray:
-    """Phase values for the given trial indices, each in ``[0, 2*pi)``."""
-    return _unit(turns_at(model, trials)) * TWO_PI
+        turns = _hash64(model.seed, t)
+    else:
+        turns = t.astype(np.uint64)
+        turns += np.uint64(model.burn_in % 2**64)
+        turns *= np.uint64(_rate_turns(model))
+    phi = _unit(turns)
+    phi *= TWO_PI
+    return phi
 
 
 def step_phase(step: int) -> float:
@@ -191,28 +197,14 @@ class PhaseStream:
         """Number of samples drawn (or skipped) so far."""
         return self._cursor
 
-    def _next_trials(self, count: int) -> np.ndarray:
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        return self.start + self.stride * (self._cursor + np.arange(count, dtype=np.int64))
-
     def take(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw the next ``count`` samples as ``(trial_indices, phases)`` arrays."""
-        t = self._next_trials(count)
+        if count < 0:
+            raise ValueError("count must be >= 0")
+        t = self.start + self.stride * (self._cursor + np.arange(count, dtype=np.int64))
         phi = phases_at(self.model, t)
         self._cursor += count
         return t, phi
-
-    def take_steps(self, count: int) -> np.ndarray:
-        """Draw the next ``count`` samples as uint64 phase steps, with no float phase.
-
-        A sample's step ``k`` is the top 53 bits of its turns, and its phase
-        is :func:`step_phase` of ``k``.
-        """
-        steps = turns_at(self.model, self._next_trials(count))
-        steps >>= _STEP_SHIFT
-        self._cursor += count
-        return steps
 
     def skip(self, count: int) -> None:
         """Advance the cursor without materializing samples."""

@@ -10,9 +10,12 @@ uncorrelated at ``+-pi/2``, anticorrelated at ``pi``.
 The estimator evaluates no cosine per trial.  A phase is one of
 ``PHASE_STEPS`` steps of a turn, and the signal at a fixed angle is constant
 on a few whole runs of steps.  The runs' edges are found once per angle by
-bisecting on the step; each block of trials then only counts how many of
-its steps fall below each edge.  The signal on each run is read from
-:func:`dichotomic_array` at the run's first step, so that predicate stays
+bisecting on the step.  The phase never decreases as the step grows, and it
+differs across each edge because the signal does, so a trial's step lies
+below an edge exactly when its phase lies below the edge's phase.  Each
+block of phases drawn with :meth:`PhaseStream.take` then only counts how
+many fall below each edge's phase.  The signal on each run is read from
+:func:`dichotomic_array` at the run's first phase, so that predicate stays
 the authority for every estimate.  Counts and ``+-1`` product sums are
 integers, so a partitioned (multi-worker) evaluation reproduces the serial
 result exactly.
@@ -124,9 +127,10 @@ def sign_product_sums(
     Angles are wrapped to ``(-pi, pi]`` first.  The union of the angles'
     :func:`sign_edges` cuts the steps into runs on which every signal is
     constant.  ``workers`` splits the trials into leapfrog substreams,
-    walked in blocks of ``BLOCK_TRIALS`` that count the steps below each
+    walked in blocks of ``BLOCK_TRIALS`` that count the phases below each
+    edge's :func:`step_phase`, which is exactly the count of steps below the
     edge; one :func:`dichotomic_array` call per angle on the runs' first
-    steps gives the signals, and each sum is the run counts weighted by
+    phases gives the signals, and each sum is the run counts weighted by
     ``s(x) * s(y)``.  Integer counts make the result independent of both
     the partition and the blocking.  The stream's cursor advances by ``n``.
     """
@@ -137,18 +141,19 @@ def sign_product_sums(
     pairs = [(wrap_angle(x), wrap_angle(y)) for x, y in pairs]
     angles = dict.fromkeys(a for pair in pairs for a in pair)
     edges = sorted(set().union(*(sign_edges(a) for a in angles)))
-    bounds = np.array(edges, dtype=np.uint64)
-    below = [0] * len(edges)
+    bounds = [step_phase(k) for k in edges]
+    below = [0] * len(bounds)
     for chunk in range(workers):
         sub = substream(stream, chunk, workers)
         quota = chunk_quota(n, chunk, workers)
         while sub.position < quota:
-            steps = sub.take_steps(min(BLOCK_TRIALS, quota - sub.position))
+            # no `del phi`: freeing each block lets glibc trim the heap and fault it back in
+            phi = sub.take(min(BLOCK_TRIALS, quota - sub.position))[1]
             for j, bound in enumerate(bounds):
-                below[j] += int(np.count_nonzero(steps < bound))
+                below[j] += int(np.count_nonzero(phi < bound))
     stream.skip(n)
     runs = np.diff(np.array([0, *below, n], dtype=np.int64))
-    first_phases = np.array([step_phase(k) for k in (0, *edges)])
+    first_phases = np.array([0.0, *bounds])
     signs = {a: dichotomic_array(first_phases, a).astype(np.int64) for a in angles}
     return [int((runs * signs[x] * signs[y]).sum()) for x, y in pairs]
 

@@ -8,7 +8,7 @@ import pytest
 
 from phasebit import ExperimentConfig, PhaseModel, cli
 from phasebit.cli import emit_csv, main, run
-from phasebit.config import KEYS, build_config
+from phasebit.config import COMMANDS, KEYS, build_config
 
 CANONICAL_ANGLES = "0,pi/2,pi/4,3pi/4"
 
@@ -184,6 +184,19 @@ def test_unwritable_path_is_runtime_failure(capsys):
     assert err.startswith("phasebit:")
 
 
+@pytest.mark.parametrize(
+    "spread,size", [("1e20", "32"), ("1e-300", "32"), ("5e-324", "32"), ("1e308", "4")]
+)
+def test_oscillator_that_cannot_turn_is_config_error(spread, size, capsys):
+    code, out, err = run_cli(
+        ["curve", "--model", "oscillator", "--frequency-spread", spread, "--ensemble-size", size,
+         "--trials", "20000", "--angles", "0,pi/2,pi", "--seed", "3"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("phasebit: config error:") and "frequency_spread" in err
+
+
 def test_bad_seed_is_config_error(capsys):
     code, _, err = run_cli(["curve", "--seed", "not-a-number"], capsys)
     assert code == 2
@@ -315,3 +328,7 @@ def test_importing_the_cli_loads_no_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_every_command_has_one_runner():
+    assert tuple(cli._RUNNERS) == COMMANDS

@@ -95,6 +95,15 @@ def test_model_rejects_bad_ensemble():
         PhaseModel(kind=OSCILLATOR_ENSEMBLE, burn_in=-1)
 
 
+# rates so large or so small that the phase cannot turn, or a rate sum past the float range
+@pytest.mark.parametrize("spread,size", [(1e20, 32), (1e-300, 32), (5e-324, 32), (1e308, 4)])
+def test_model_rejects_an_oscillator_that_cannot_turn(spread, size):
+    with pytest.raises(ValueError, match="frequency_spread"):
+        PhaseModel(kind=OSCILLATOR_ENSEMBLE, frequency_spread=spread, ensemble_size=size)
+    # the iid model ignores the spread
+    PhaseModel(frequency_spread=spread, ensemble_size=size)
+
+
 # ---------------------------------------------------------------- streams
 
 def test_stream_determinism_exact():
@@ -192,6 +201,15 @@ def test_oscillator_rates_are_drawn_once_per_model(monkeypatch):
     assert len(calls) <= 1
 
 
+def _splitmix64(seed, counter):
+    """Pure-Python splitmix64 on ints: the reference for ``phase._hash64``."""
+    mask = 2**64 - 1
+    z = ((counter + 1) * 0x9E3779B97F4A7C15 + seed) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
 @pytest.mark.parametrize(
     "seed,counter,expected",
     [
@@ -207,6 +225,7 @@ def test_hash64_pinned_values(seed, counter, expected):
     out = phase_module._hash64(seed, np.array([counter, counter], dtype=np.int64))
     assert out.dtype == np.uint64
     assert out.tolist() == [expected, expected]
+    assert _splitmix64(seed, counter) == expected
 
 
 @pytest.mark.parametrize(
@@ -218,14 +237,18 @@ def test_hash64_pinned_values(seed, counter, expected):
     ids=["iid", "oscillator"],
 )
 def test_phase_steps_give_the_phases_of_take(model):
-    stream, steps_stream = make_phase_stream(model), make_phase_stream(model)
+    stream = make_phase_stream(model)
     stream.skip(7)
-    steps_stream.skip(7)
-    _, phi = stream.take(2000)
-    steps = steps_stream.take_steps(2000)
-    assert steps_stream.position == stream.position
-    assert steps.dtype == np.uint64 and int(steps.max()) < phase_module.PHASE_STEPS
-    assert [phase_module.step_phase(k) for k in steps.tolist()] == phi.tolist()
+    t, phi = stream.take(2000)
+    assert t.tolist() == list(range(7, 2007))
+    if model.kind == IID_UNIFORM:
+        turns = [_splitmix64(model.seed, i) for i in range(7, 2007)]
+    else:
+        r = int(math.ldexp(math.fsum(ensemble_frequencies(model).tolist()) / TWO_PI % 1.0, 64))
+        turns = [r * (i + model.burn_in) % 2**64 for i in range(7, 2007)]
+    steps = [z >> 11 for z in turns]
+    assert max(steps) < phase_module.PHASE_STEPS
+    assert [phase_module.step_phase(k) for k in steps] == phi.tolist()
 
 
 def test_phases_at_rejects_negative_trials():

@@ -16,6 +16,7 @@ from phasebit import (
     make_phase_stream,
     wrap_angle,
 )
+from phasebit import phase as phase_module
 from phasebit import signals
 from phasebit.phase import OSCILLATOR_ENSEMBLE, PHASE_STEPS, step_phase
 from phasebit.signals import BLOCK_TRIALS, MAX_WORKERS, sign_edges, sign_product_sums
@@ -258,6 +259,22 @@ def test_kernel_evaluates_no_signal_per_trial(model, monkeypatch):
         sign_product_sums(make_phase_stream(model), pairs, n)
         per_call.append(sum(evaluated))
     assert per_call[0] == per_call[1] > 0
+
+
+@pytest.mark.parametrize("model", KERNEL_MODELS, ids=["iid", "oscillator"])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_kernel_draws_its_phases_through_take(model, workers, monkeypatch):
+    drawn = []
+    reference = phase_module.phases_at
+
+    def counting(m, trials):
+        drawn.append(len(trials))
+        return reference(m, trials)
+
+    monkeypatch.setattr(phase_module, "phases_at", counting)
+    n = 3 * BLOCK_TRIALS + 5
+    estimate_correlation(make_phase_stream(model), 0.0, 0.7, n, workers=workers)
+    assert sum(drawn) == n
 
 
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=["iid", "oscillator"])
