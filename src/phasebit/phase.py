@@ -11,6 +11,9 @@ and share one conversion to radians:
 * ``oscillator``: the ensemble's rate sum as a uint64 fraction of a turn,
   times ``t + burn_in``; uint64 wraparound is the wrap to one turn, so the
   rotation is exact at every trial index and equidistributes on the circle.
+  Its turns along a stream form an arithmetic progression mod ``2**64``,
+  so :func:`oscillator_steps_below` counts trials below a step in closed
+  form without generating a phase.
 
 Because a phase is a pure function of ``(model, trial index)``, streams are
 reproducible bit-for-bit across runs and platforms, and leapfrog substreams
@@ -23,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -45,6 +49,7 @@ _FREQ_TAG = 0xB5AD4ECEDA1CE2A9
 
 # A phase is ``k / PHASE_STEPS`` of a turn; its step ``k`` is the top 53 bits of its uint64 turns.
 PHASE_STEPS = 2**53
+_TURN = 2**64
 _STEP_SHIFT = np.uint64(64 - 53)
 _INV_2POW53 = 1.0 / PHASE_STEPS
 
@@ -217,6 +222,55 @@ class PhaseStream:
             f"PhaseStream({self.model!r}, start={self.start}, "
             f"stride={self.stride}, position={self._cursor})"
         )
+
+
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """``sum(floor((a*j + b) / m) for j in range(n))`` for ``n, a, b >= 0`` and ``m >= 1``.
+
+    The Euclid-like loop of the AtCoder Library's ``floor_sum_unsigned``
+    (``atcoder/math.hpp``) on Python ints: O(log m) steps at any ``n``.
+    """
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        y_max = a * n + b
+        if y_max < m:
+            return total
+        n, b = divmod(y_max, m)
+        m, a = a, m
+
+
+def oscillator_steps_below(stream: PhaseStream, n: int, steps: Sequence[int]) -> list[int]:
+    """How many of the stream's next ``n`` oscillator trials have a step below each of ``steps``.
+
+    Trial ``j`` of them has turns ``(a*j + b) mod 2**64``, with
+    ``a = R*stride`` and ``b = R*(start + stride*position + burn_in)``, as
+    :func:`phases_at` computes them.  Its step is below ``e`` exactly when
+    ``x = a*j + b`` has ``x mod 2**64 < e << 11``, and for ``0 <= c <= M``,
+    ``floor((x + M - c) / M) - floor(x / M)`` is 1 exactly when
+    ``x mod M >= c``; two :func:`floor_sum` calls count those trials.  No
+    phase is generated and the cursor does not move.
+    """
+    if stream.model.kind != OSCILLATOR_ENSEMBLE:
+        raise ValueError("oscillator_steps_below only applies to the oscillator model")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    r = _rate_turns(stream.model)
+    a = r * stream.stride % _TURN
+    b = r * (stream.start + stream.stride * stream.position + stream.model.burn_in) % _TURN
+    base = floor_sum(n, _TURN, a, b)
+    below = []
+    for step in steps:
+        if not 0 <= step <= PHASE_STEPS:
+            raise ValueError(f"step {step} outside 0..{PHASE_STEPS}")
+        c = step << int(_STEP_SHIFT)
+        below.append(n - (floor_sum(n, _TURN, a, b + _TURN - c) - base))
+    return below
 
 
 def make_phase_stream(model: PhaseModel) -> PhaseStream:

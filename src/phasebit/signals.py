@@ -12,9 +12,13 @@ The estimator evaluates no cosine per trial.  A phase is one of
 on a few whole runs of steps.  The runs' edges are found once per angle by
 bisecting on the step.  The phase never decreases as the step grows, and it
 differs across each edge because the signal does, so a trial's step lies
-below an edge exactly when its phase lies below the edge's phase.  Each
-block of phases drawn with :meth:`PhaseStream.take` then only counts how
-many fall below each edge's phase.  The signal on each run is read from
+below an edge exactly when its phase lies below the edge's phase.  For the
+``iid`` model each block of phases drawn with :meth:`PhaseStream.take` then
+only counts how many fall below each edge's phase.  The ``oscillator``'s
+turns are an arithmetic progression mod ``2**64``, so its count of steps
+below each edge is a closed-form floor sum
+(:func:`~phasebit.phase.oscillator_steps_below`) and no phase is generated,
+at any trial count.  The signal on each run is read from
 :func:`dichotomic_array` at the run's first phase, so that predicate stays
 the authority for every estimate.  Counts and ``+-1`` product sums are
 integers, so a partitioned (multi-worker) evaluation reproduces the serial
@@ -29,7 +33,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase import PHASE_STEPS, PhaseStream, chunk_quota, step_phase, substream, wrap_angle
+from .phase import (
+    OSCILLATOR_ENSEMBLE,
+    PHASE_STEPS,
+    PhaseStream,
+    chunk_quota,
+    oscillator_steps_below,
+    step_phase,
+    substream,
+    wrap_angle,
+)
 
 # Trials per array pass; bounds memory at O(block) without changing a sum.
 BLOCK_TRIALS = 1 << 16
@@ -126,13 +139,18 @@ def sign_product_sums(
 
     Angles are wrapped to ``(-pi, pi]`` first.  The union of the angles'
     :func:`sign_edges` cuts the steps into runs on which every signal is
-    constant.  ``workers`` splits the trials into leapfrog substreams,
-    walked in blocks of ``BLOCK_TRIALS`` that count the phases below each
-    edge's :func:`step_phase`, which is exactly the count of steps below the
-    edge; one :func:`dichotomic_array` call per angle on the runs' first
+    constant.  For the ``iid`` model ``workers`` splits the trials into
+    leapfrog substreams, walked in blocks of ``BLOCK_TRIALS`` that count the
+    phases below each edge's :func:`step_phase`, which is exactly the count
+    of steps below the edge.  For the ``oscillator`` the counts over the
+    serial range come in closed form from
+    :func:`~phasebit.phase.oscillator_steps_below`, in O(log) big-integer
+    steps per edge and no phase drawn; ``workers`` is validated but splits
+    no work.  One :func:`dichotomic_array` call per angle on the runs' first
     phases gives the signals, and each sum is the run counts weighted by
-    ``s(x) * s(y)``.  Integer counts make the result independent of both
-    the partition and the blocking.  The stream's cursor advances by ``n``.
+    ``s(x) * s(y)``.  Integer counts make the result independent of the
+    partition, the blocking and the counting method.  The stream's cursor
+    advances by ``n``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -142,15 +160,19 @@ def sign_product_sums(
     angles = dict.fromkeys(a for pair in pairs for a in pair)
     edges = sorted(set().union(*(sign_edges(a) for a in angles)))
     bounds = [step_phase(k) for k in edges]
-    below = [0] * len(bounds)
-    for chunk in range(workers):
-        sub = substream(stream, chunk, workers)
-        quota = chunk_quota(n, chunk, workers)
-        while sub.position < quota:
-            # no `del phi`: freeing each block lets glibc trim the heap and fault it back in
-            phi = sub.take(min(BLOCK_TRIALS, quota - sub.position))[1]
-            for j, bound in enumerate(bounds):
-                below[j] += int(np.count_nonzero(phi < bound))
+    if stream.model.kind == OSCILLATOR_ENSEMBLE:
+        # the leapfrog chunks together cover the serial range, so count that
+        below = oscillator_steps_below(stream, n, edges)
+    else:
+        below = [0] * len(bounds)
+        for chunk in range(workers):
+            sub = substream(stream, chunk, workers)
+            quota = chunk_quota(n, chunk, workers)
+            while sub.position < quota:
+                # no `del phi`: freeing each block lets glibc trim the heap and fault it back in
+                phi = sub.take(min(BLOCK_TRIALS, quota - sub.position))[1]
+                for j, bound in enumerate(bounds):
+                    below[j] += int(np.count_nonzero(phi < bound))
     stream.skip(n)
     runs = np.diff(np.array([0, *below, n], dtype=np.int64))
     first_phases = np.array([0.0, *bounds])

@@ -320,6 +320,18 @@ def test_python_m_phasebit_subprocess():
     assert result.stdout.startswith("delta_alpha,")
 
 
+def test_oscillator_chsh_runs_at_the_largest_trial_count_the_guard_admits():
+    # 4 angles * (2**61 - 1) trials is the last count under the int64 trial index
+    trials = str(2**61 - 1)
+    result = subprocess.run(
+        [sys.executable, "-m", "phasebit", "chsh", "--model", "oscillator",
+         "--trials", trials, "--seed", "1", "--format", "json"],
+        capture_output=True, text=True, env=dict(os.environ), timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert abs(json.loads(result.stdout)[0]["s"]) <= 2.0
+
+
 def test_importing_the_cli_loads_no_scipy():
     result = subprocess.run(
         [sys.executable, "-c",

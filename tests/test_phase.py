@@ -18,7 +18,8 @@ from phasebit import (
     wrap_angle,
 )
 from phasebit import phase as phase_module
-from phasebit.signals import BLOCK_TRIALS, sign_product_sums
+from phasebit.phase import PHASE_STEPS, floor_sum, oscillator_steps_below
+from phasebit.signals import BLOCK_TRIALS, sign_edges, sign_product_sums
 from phasebit.stats import ks_uniformity
 
 
@@ -181,6 +182,45 @@ def test_oscillator_phase_is_exact_at_any_burn_in(burn_in):
         ((r * (t + burn_in)) % 2**64 >> 11) * 2**-53 * TWO_PI for t in range(2000)
     ]
     assert phases_at(model, np.arange(2000)).tolist() == expected
+
+
+def test_floor_sum_equals_brute_force():
+    # a and b up to 3*m, so both of the loop's reductions run
+    for m in range(1, 13):
+        for a in range(3 * m + 1):
+            for b in range(3 * m + 1):
+                for n in range(13):
+                    expected = sum((a * j + b) // m for j in range(n))
+                    assert floor_sum(n, m, a, b) == expected, (n, m, a, b)
+
+
+OSCILLATOR_EDGES = sorted(
+    {0, 1, 2, 2**52, PHASE_STEPS - 1, PHASE_STEPS}
+    | {e for alpha in (0.0, 0.7, -1.0, math.pi, 1e16) for e in sign_edges(alpha)}
+)
+
+
+@pytest.mark.parametrize("burn_in", [0, 2**62 + 12345, 2**64 + 5])
+@pytest.mark.parametrize("stride,chunk", [(1, 0), (4, 3), (51, 50)])
+@pytest.mark.parametrize("cursor", [0, 2**62 - 3])
+@pytest.mark.parametrize("n", [1, 2, 1000])
+def test_oscillator_steps_below_match_a_big_int_enumeration(burn_in, stride, chunk, cursor, n):
+    model = PhaseModel(kind=OSCILLATOR_ENSEMBLE, seed=13, burn_in=burn_in)
+    # the summed angular rate as a 64-bit fraction of a turn
+    r = int(math.ldexp(math.fsum(ensemble_frequencies(model).tolist()) / TWO_PI % 1.0, 64))
+    stream = substream(make_phase_stream(model), chunk, stride)
+    stream.skip(cursor)
+    steps = [
+        (r * (chunk + stride * (cursor + j) + burn_in)) % 2**64 >> 11 for j in range(n)
+    ]
+    expected = [sum(k < e for k in steps) for e in OSCILLATOR_EDGES]
+    assert oscillator_steps_below(stream, n, OSCILLATOR_EDGES) == expected
+    assert stream.position == cursor
+
+
+def test_oscillator_steps_below_rejects_the_iid_model():
+    with pytest.raises(ValueError):
+        oscillator_steps_below(make_phase_stream(PhaseModel(seed=1)), 10, [1])
 
 
 def test_oscillator_phases_stay_distinct_past_2pow53():

@@ -274,7 +274,8 @@ def test_kernel_draws_its_phases_through_take(model, workers, monkeypatch):
     monkeypatch.setattr(phase_module, "phases_at", counting)
     n = 3 * BLOCK_TRIALS + 5
     estimate_correlation(make_phase_stream(model), 0.0, 0.7, n, workers=workers)
-    assert sum(drawn) == n
+    # the oscillator is counted in closed form and draws no phase at all
+    assert sum(drawn) == (0 if model.kind == OSCILLATOR_ENSEMBLE else n)
 
 
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=["iid", "oscillator"])

@@ -142,6 +142,16 @@ def test_estimator_memory_is_bounded_by_the_block(kind, estimate):
     assert peak < 8_000_000
 
 
+def test_oscillator_chsh_memory_does_not_grow_with_the_trial_count():
+    tracemalloc.start()
+    try:
+        chsh_classical(PhaseModel(kind=OSCILLATOR_ENSEMBLE, seed=3), *CANONICAL, 2**61 - 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 # ------------------------------------------------------------- ks_uniformity
 
 def test_ks_exact_grid_is_tiny():
