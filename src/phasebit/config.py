@@ -132,7 +132,8 @@ KEYS = {
     "out": Key(str, "--out", "PATH", "output file, '-' for stdout (default)", field="out_path"),
     "format": Key(str, "--format", "FMT", f"output format: {' | '.join(FORMATS)}"),
     "workers": Key(int, "--workers", "N",
-                   f"1..{MAX_WORKERS} substream partitions; never changes results"),
+                   f"1..{MAX_WORKERS} substream partitions of the iid curve, compare and "
+                   "chsh trials; no effect on init or gates; never changes results"),
     "signal_index": Key(int, "--signal-index", "N", "which qubit gates acceptance (init)"),
     "shared_trials": Key(_parse_bool, "--independent-trials",
                          help="estimate each CHSH correlator on its own trials"),

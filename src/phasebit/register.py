@@ -6,6 +6,11 @@ signal at its own detector angle, so all correlation between qubits comes
 from the shared phase (the register is the coherence zone).  One designated
 signal qubit gates trial acceptance: bit 0 accepts the trial, bit 1 discards
 it, which post-selects the register into an initialized state.
+
+:func:`initialize` reads each block of phases once per Balanced qubit with
+:func:`~phasebit.signals.dichotomic_array`, which evaluates no cosine for a
+phase at a wrapped angle, and keeps the accepted columns with one
+``np.compress`` per array.
 """
 
 from __future__ import annotations
@@ -87,7 +92,7 @@ def _trial_bits(qubits: Sequence[QubitState], phi: np.ndarray) -> np.ndarray:
             rows.append(np.full(phi.shape, q.bit, dtype=np.int8))
         else:
             # green (+1) -> bit 0, red (-1) -> bit 1
-            rows.append(((1 - dichotomic_array(phi, q.alpha)) // 2).astype(np.int8))
+            rows.append((dichotomic_array(phi, q.alpha) < 0).view(np.int8))
     return np.stack(rows)
 
 
@@ -147,8 +152,8 @@ def initialize(register: VirtualRegister, trials: int) -> AcceptedTrials:
         t, phi = register.stream.take(min(BLOCK_TRIALS, trials - done))
         bits = _trial_bits(register.qubits, phi)
         keep = bits[register.signal_index] == 0
-        kept_t.append(t[keep])
-        kept_bits.append(bits[:, keep])
+        kept_t.append(np.compress(keep, t))
+        kept_bits.append(np.compress(keep, bits, axis=1))
     return AcceptedTrials(np.concatenate(kept_t), np.concatenate(kept_bits, axis=1))
 
 

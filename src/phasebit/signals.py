@@ -7,6 +7,13 @@ to ``+1``.  Two signals sharing the same phase, with detector angles
 ``delta`` is wrapped to ``(-pi, pi]``: fully correlated at ``delta = 0``,
 uncorrelated at ``+-pi/2``, anticorrelated at ``pi``.
 
+:func:`dichotomic_array` reads that sign without a cosine wherever
+``phi + alpha`` lies in ``(-pi, 3pi)``, which holds every phase in
+``[0, 2*pi)`` plus a wrapped angle.  There the cosine changes sign only at
+the four floats of ``COS_SIGN_EDGES``, one next to each odd multiple of
+``pi/2``, so the signal is the parity of the edges the sum has reached.
+Elements outside that range, NaN and infinities are read from ``np.cos``.
+
 The estimator evaluates no cosine per trial.  A phase is one of
 ``PHASE_STEPS`` steps of a turn, and the signal at a fixed angle is constant
 on a few whole runs of steps.  The runs' edges are found once per angle by
@@ -48,6 +55,11 @@ from .phase import (
 BLOCK_TRIALS = 1 << 16
 # The kernel visits every chunk, empty or not, so the partition count is bounded.
 MAX_WORKERS = 256
+# The floats at which the cosine's sign differs from the float just below,
+# near -pi/2, pi/2, 3pi/2 and 5pi/2: the only ones in COS_SIGN_RANGE.  The
+# cosine there is about 1e-16 from 0, far above a faithful cosine's error.
+COS_SIGN_EDGES = (-1.5707963267948966, 1.5707963267948968, 4.712388980384691, 7.853981633974484)
+COS_SIGN_RANGE = (-math.pi, 3 * math.pi)
 
 
 def dichotomic(phi: float, alpha: float) -> int:
@@ -59,9 +71,25 @@ def dichotomic(phi: float, alpha: float) -> int:
 
 
 def dichotomic_array(phi: np.ndarray, alpha: float) -> np.ndarray:
-    """Vectorized :func:`dichotomic` over an array of phases (int8 output)."""
-    c = np.cos(np.asarray(phi, dtype=np.float64) + alpha)
-    return np.where(c >= 0.0, 1, -1).astype(np.int8)
+    """Vectorized :func:`dichotomic` over an array of phases (int8 output).
+
+    The cosine is negative at ``-pi``, so on ``COS_SIGN_RANGE`` the signal is
+    ``+1`` exactly when ``phi + alpha`` has reached an odd number of
+    ``COS_SIGN_EDGES``.  Elements outside that range, NaN and infinities are
+    read from ``np.cos``.
+    """
+    x = np.asarray(np.asarray(phi, dtype=np.float64) + alpha)  # a 0-d input stays an array
+    odd = x >= COS_SIGN_EDGES[0]
+    for edge in COS_SIGN_EDGES[1:]:
+        odd ^= x >= edge
+    signal = np.asarray(odd).view(np.int8)  # odd is a fresh array, so edit it in place
+    signal *= 2
+    signal -= 1
+    lo, hi = COS_SIGN_RANGE
+    if x.size and not (lo < x.min() and x.max() < hi):
+        far = ~((x > lo) & (x < hi))  # NaN is far too
+        signal[far] = np.where(np.cos(x[far]) >= 0.0, 1, -1)
+    return signal
 
 
 @dataclass(frozen=True)

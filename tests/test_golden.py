@@ -1,19 +1,27 @@
-"""Byte-for-byte regression of every command against checked-in outputs.
+"""Byte-for-byte regression of every command and demo against checked-in outputs.
 
-Each file under ``tests/golden/`` is the output of one CLI invocation at a
-fixed seed, with ``--trials 70001`` so that every estimate spans more than
-one 2**16-trial block.  A change to any estimator must reproduce these
-bytes for every worker count; an intended output change regenerates them
-with ``PYTHONPATH=src python tests/test_golden.py`` and says why.
+Each file directly under ``tests/golden/`` is the output of one CLI
+invocation at a fixed seed, with ``--trials 70001`` so that every estimate
+spans more than one 2**16-trial block.  Each file under
+``tests/golden/demos/`` is the standard output of one script in ``demos/``,
+run with numpy's ``RuntimeWarning``s as errors.  A change to any estimator
+must reproduce these bytes for every worker count; an intended output change
+regenerates them with ``PYTHONPATH=src python tests/test_golden.py`` and
+says why.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from phasebit.cli import main
 
+ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 SEED = "20030101"
 TRIALS = "70001"
 
@@ -40,8 +48,26 @@ def test_output_matches_golden_bytes(name, workers, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+def run_demo(demo: Path) -> bytes:
+    """The demo's standard output; a ``RuntimeWarning`` or a failure raises."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), path]))}
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+        capture_output=True, check=True, env=env, timeout=120,
+    ).stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_output_matches_golden_bytes(demo):
+    assert run_demo(demo) == (GOLDEN / "demos" / f"{demo.stem}.txt").read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES.items():
         if main([*argv, "--out", str(GOLDEN / name)]) != 0:
             raise SystemExit(f"{name}: phasebit failed")
+    (GOLDEN / "demos").mkdir(exist_ok=True)
+    for demo in DEMOS:
+        (GOLDEN / "demos" / f"{demo.stem}.txt").write_bytes(run_demo(demo))

@@ -165,6 +165,29 @@ def test_blocked_initialize_equals_one_unblocked_take(kind, signal_index):
     assert list(records) == expected
 
 
+@pytest.mark.parametrize("kind", ["iid", "oscillator"])
+def test_initialize_evaluates_no_cosine_per_trial(kind, monkeypatch):
+    qubits = [Balanced(k * math.pi / 8) for k in range(8)]
+    model = PhaseModel(kind=kind, seed=5)
+    trials = 70001
+    t, phi = make_phase_stream(model).take(trials)
+    bits = np.stack([(np.cos(phi + q.alpha) < 0.0).view(np.int8) for q in qubits])
+    keep = bits[0] == 0
+
+    cosine = np.cos
+    evaluated = []
+
+    def counting(x, *args, **kwargs):
+        evaluated.append(np.size(x))
+        return cosine(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cos", counting)
+    records = initialize(VirtualRegister(qubits, make_phase_stream(model)), trials)
+    assert sum(evaluated) == 0
+    assert np.array_equal(records.t, t[keep])
+    assert np.array_equal(records.bits, bits[:, keep])
+
+
 def test_initialize_memory_does_not_grow_with_records():
     reg = fresh_register([Balanced(0.4 * k) for k in range(8)], seed=3)
     tracemalloc.start()

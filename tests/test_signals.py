@@ -41,10 +41,99 @@ def test_dichotomic_basic_values():
     assert dichotomic(math.pi / 2, 0.0) == 1
 
 
+def cosine_signal(phi, alpha):
+    """The signal read from ``np.cos``: the reference for ``dichotomic_array``."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        c = np.cos(np.asarray(phi, dtype=np.float64) + alpha)
+    return np.where(c >= 0.0, 1, -1).astype(np.int8)
+
+
+def floats_around(x, ulps):
+    """``x`` and the ``ulps`` floats on either side of it, ascending."""
+    below, above, lo, hi = [], [], x, x
+    for _ in range(ulps):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        below.append(lo)
+        above.append(hi)
+    return np.array([*reversed(below), x, *above])
+
+
 def test_dichotomic_array_matches_scalar():
     phi = np.linspace(0.0, TWO_PI, 101, endpoint=False)
     vec = dichotomic_array(phi, 0.3)
     assert vec.tolist() == [dichotomic(p, 0.3) for p in phi]
+    edges = np.array(signals.COS_SIGN_EDGES)
+    for x in np.concatenate([edges, np.nextafter(edges, -np.inf)]):
+        assert dichotomic_array(np.array([x]), 0.0)[0] == dichotomic(x, 0.0)
+
+
+def test_cos_sign_edges_are_the_sign_changes_of_both_cosines():
+    lo, hi = signals.COS_SIGN_RANGE
+    edges = signals.COS_SIGN_EDGES
+    assert lo < edges[0] and list(edges) == sorted(edges) and edges[-1] < hi
+    # the parity rule starts from a negative cosine at the low end of the range
+    assert math.cos(lo) < 0.0 and np.cos(lo) < 0.0
+    for k, e in enumerate(edges):
+        below = math.nextafter(e, -math.inf)
+        assert abs(e - (2 * k - 1) * math.pi / 2) <= 4 * math.ulp(e)
+        assert (math.cos(below) >= 0.0) != (math.cos(e) >= 0.0)
+        both = np.cos(np.array([below, e] * 64)) >= 0.0  # long enough for numpy's SIMD loop
+        assert set(both[0::2].tolist()) == {math.cos(below) >= 0.0}
+        assert set(both[1::2].tolist()) == {math.cos(e) >= 0.0}
+
+
+def test_dichotomic_array_equals_the_cosine_within_4096_ulps_of_each_edge():
+    lo, hi = signals.COS_SIGN_RANGE
+    for x in (*signals.COS_SIGN_EDGES, lo, hi):
+        near = floats_around(x, 4096)
+        assert np.array_equal(dichotomic_array(near, 0.0), cosine_signal(near, 0.0))
+
+
+@pytest.mark.parametrize(
+    "alpha", [0.0, math.pi, -math.pi, 1e-300, 0.3, -2.9, 7.5, -7.5, 100.0, 1e16]
+)
+def test_dichotomic_array_equals_the_cosine_on_random_phases(alpha):
+    phi = np.random.default_rng(20030101).random(1_000_000) * TWO_PI
+    assert np.array_equal(dichotomic_array(phi, alpha), cosine_signal(phi, alpha))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True), st.floats()),
+        min_size=1,
+        max_size=8,
+    ),
+    st.one_of(st.floats(min_value=-math.pi, max_value=math.pi), st.floats()),
+)
+@example([math.nextafter(TWO_PI, 0.0)], math.pi)
+@example([0.0], -math.pi)
+def test_dichotomic_array_equals_the_cosine_on_any_floats(phi, alpha):
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert np.array_equal(dichotomic_array(phi, alpha), cosine_signal(phi, alpha))
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        [math.nan, math.inf, -math.inf, 1e300, -1e300],
+        [0.5, math.nan, 2.0, 1e300, 6.0, -math.inf],
+        np.array([]),
+        [0.1, 3.0, 4.0],
+        0.5,
+        100.0,
+        [[0.1, 2.0], [3.0, 40.0]],
+    ],
+    ids=["non-finite", "mixed", "empty", "list", "scalar", "far-scalar", "2d"],
+)
+def test_dichotomic_array_keeps_the_cosine_outside_the_edge_range(phi):
+    with np.errstate(invalid="ignore"):
+        got = dichotomic_array(phi, 0.25)
+    expected = cosine_signal(phi, 0.25)
+    assert type(got) is type(expected)
+    assert got.dtype == expected.dtype == np.int8
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
 
 
 @given(
@@ -240,6 +329,24 @@ def test_each_sign_edge_flips_the_reference_signal(alpha):
     before = dichotomic_array(np.array([step_phase(e - 1) for e in edges]), alpha)
     at = dichotomic_array(np.array([step_phase(e) for e in edges]), alpha)
     assert (before != at).all()
+
+
+def test_sign_edges_give_the_exact_correlation_over_every_step():
+    # each run of steps between edges holds one signal per angle, so the run
+    # lengths weight the full-turn average without drawing a single phase
+    special = [math.pi, -math.pi, math.pi / 2, -math.pi / 2, 1e-300, 0.3]
+    pairs = [(x, y) for x in special for y in special]
+    pairs += np.random.default_rng(7).uniform(-math.pi, math.pi, size=(300, 2)).tolist()
+    worst = 0.0
+    for x, y in pairs:
+        edges = sorted(set(sign_edges(x)) | set(sign_edges(y)))
+        runs = np.diff(np.array([0, *edges, PHASE_STEPS], dtype=np.int64))
+        first = np.array([0.0, *(step_phase(k) for k in edges)])
+        sx = dichotomic_array(first, x).astype(np.int64)
+        sy = dichotomic_array(first, y).astype(np.int64)
+        exact = int((runs * sx * sy).sum()) / PHASE_STEPS
+        worst = max(worst, abs(exact - analytic_correlation(x - y)))
+    assert worst <= 1e-15
 
 
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=["iid", "oscillator"])
