@@ -2,17 +2,17 @@
 
 A virtual register is a row of two-valued qubits reading one shared phase.
 Qubit 0 is the signal: trials where it comes up red (bit 1) are discarded,
-so the surviving records start from a known |0> signal. The other qubits
+so the surviving trials start from a known |0> signal. The other qubits
 keep their phase-induced correlation with the signal, which post-selection
 turns into controllable conditional statistics.
 
-Gates then act on states and records:
+Gates then act on qubit states and on the accepted bit columns:
 * Hadamard on a qubit state follows the determined-value rule: any
   balanced qubit collapses to definite 0, and definite qubits become
   balanced. Applying it twice does not restore the input (the unitary
   oracle gate does).
-* CNOT flips a target bit inside each record wherever the control bit
-  is 1, and undoes itself when applied twice.
+* CNOT flips the target bit of each accepted trial wherever the control
+  bit is 1, and undoes itself when applied twice.
 
 Run:  python3 demos/initialize_and_gates.py
 """
@@ -20,12 +20,14 @@ Run:  python3 demos/initialize_and_gates.py
 import math
 from collections import Counter
 
+import numpy as np
+
 from phasebit import (
     Balanced,
     Definite,
     PhaseModel,
     VirtualRegister,
-    apply_cnot_to_records,
+    apply_cnot_to_bits,
     hadamard,
     initialize,
     make_phase_stream,
@@ -42,13 +44,14 @@ def main():
     )
     print(f"Register: signal at angle 0, targets at pi/4 and pi; {TRIALS} trials")
 
-    records = initialize(register, TRIALS)
-    rate = len(records) / TRIALS
-    print(f"Accepted {len(records)} trials (rate {rate:.3f}; signal is green half the time)")
-    print(f"Signal bits in accepted records: {set(r.bits[0] for r in records)}")
+    bits = initialize(register, TRIALS).bits
+    accepted = bits.shape[1]
+    rate = accepted / TRIALS
+    print(f"Accepted {accepted} trials (rate {rate:.3f}; signal is green half the time)")
+    print(f"Signal bits in accepted records: {set(bits[0].tolist())}")
 
-    same_quarter = sum(1 for r in records if r.bits[1] == 0) / len(records)
-    same_opposite = sum(1 for r in records if r.bits[2] == 0) / len(records)
+    same_quarter = np.mean(bits[1] == 0)
+    same_opposite = np.mean(bits[2] == 0)
     print(f"P(target@pi/4 green | accepted) = {same_quarter:.3f}   (exact 0.75)")
     print(f"P(target@pi  green | accepted) = {same_opposite:.3f}   (exact 0: anticorrelated)")
 
@@ -58,16 +61,17 @@ def main():
     print(f"  H (H Definite(1)) -> {hadamard(hadamard(Definite(1)))}   (not an involution)")
 
     print("\nCNOT on the accepted records, control=2 (pi target), target=1:")
-    before = Counter(r.bits for r in records)
-    after = Counter(r.bits for r in apply_cnot_to_records(records, 2, 1))
-    for bits, count in sorted(before.items()):
-        print(f"  {bits} x{count}", end="")
+    flipped = apply_cnot_to_bits(bits, 2, 1)
+    before = Counter(map(tuple, bits.T.tolist()))
+    after = Counter(map(tuple, flipped.T.tolist()))
+    for column, count in sorted(before.items()):
+        print(f"  {column} x{count}", end="")
     print()
-    for bits, count in sorted(after.items()):
-        print(f"  {bits} x{count}", end="")
+    for column, count in sorted(after.items()):
+        print(f"  {column} x{count}", end="")
     print()
-    restored = apply_cnot_to_records(apply_cnot_to_records(records, 2, 1), 2, 1)
-    print(f"Applying CNOT twice restores the records: {restored == records}")
+    restored = apply_cnot_to_bits(flipped, 2, 1)
+    print(f"Applying CNOT twice restores the records: {np.array_equal(restored, bits)}")
 
 
 if __name__ == "__main__":

@@ -50,13 +50,11 @@ from .register import (
     Balanced,
     Definite,
     QubitState,
-    TrialRecord,
     VirtualRegister,
-    apply_cnot_to_records,
+    apply_cnot_to_bits,
     cnot,
     hadamard,
     initialize,
-    measure_trial,
 )
 from .signals import (
     CorrelationEstimate,
@@ -97,13 +95,12 @@ __all__ = [
     "PhaseStream",
     "QuantumState",
     "QubitState",
-    "TrialRecord",
     "TWO_PI",
     "VirtualRegister",
     "analytic_chsh",
     "analytic_correlation",
     "apply_cnot",
-    "apply_cnot_to_records",
+    "apply_cnot_to_bits",
     "apply_hadamard",
     "basis_state",
     "chsh_classical",
@@ -121,7 +118,6 @@ __all__ = [
     "initialize",
     "ks_uniformity",
     "make_phase_stream",
-    "measure_trial",
     "observable",
     "parse_angle",
     "parse_angles",

@@ -114,9 +114,9 @@ def _run_init(config: ExperimentConfig):
     register = VirtualRegister(
         [Balanced(a) for a in config.angles], stream, signal_index=config.signal_index
     )
-    records = initialize(register, config.trials)
-    n_accepted = len(records)
-    ones_per_qubit = records.bits.sum(axis=1).tolist()
+    accepted = initialize(register, config.trials)
+    n_accepted = len(accepted)
+    ones_per_qubit = accepted.bits.sum(axis=1).tolist()
     rows = []
     for q, (alpha, ones) in enumerate(zip(register.angles, ones_per_qubit)):
         if n_accepted:

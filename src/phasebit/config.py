@@ -198,6 +198,8 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"unknown format {config.format!r}; expected one of {FORMATS}")
     if config.trials < 1:
         raise ConfigError("trials must be >= 1")
+    if not config.out_path:
+        raise ConfigError(f"out path must not be empty; use {STDOUT_SENTINEL!r} for stdout")
     if not 1 <= config.workers <= MAX_WORKERS:
         raise ConfigError(f"workers must be in 1..{MAX_WORKERS}")
     if not config.angles:

@@ -16,7 +16,7 @@ phase at a wrapped angle, and keeps the accepted columns with one
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -50,15 +50,6 @@ class Balanced:
 
 
 QubitState = Union[Definite, Balanced]
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """Realized bits of one measurement trial plus its acceptance verdict."""
-
-    t: int
-    bits: tuple[int, ...]
-    accepted: bool
 
 
 @dataclass
@@ -96,54 +87,29 @@ def _trial_bits(qubits: Sequence[QubitState], phi: np.ndarray) -> np.ndarray:
     return np.stack(rows)
 
 
-def measure_trial(register: VirtualRegister) -> TrialRecord:
-    """Run one shared-phase measurement across the whole register."""
-    t, phi = register.stream.take(1)
-    bits = _trial_bits(register.qubits, phi)[:, 0]
-    accepted = bits[register.signal_index] == 0
-    return TrialRecord(int(t[0]), tuple(int(b) for b in bits), bool(accepted))
-
-
-class AcceptedTrials(Sequence[TrialRecord]):
-    """Accepted trials as two arrays; a ``TrialRecord`` is built only when read.
+# arrays have no single truth value, so equality is identity: compare .t and .bits
+@dataclass(frozen=True, eq=False)
+class AcceptedTrials:
+    """Accepted trials as two arrays.
 
     ``t`` holds the trial indices (int64) and ``bits`` the bit columns, one
-    row per qubit (int8), so a trial costs ``8 + qubits`` bytes.  Compares
-    equal to any sequence of the same records.
+    row per qubit and one column per accepted trial (int8), so a trial
+    costs ``8 + qubits`` bytes.  ``len()`` counts the accepted trials.
     """
 
-    def __init__(self, t: np.ndarray, bits: np.ndarray) -> None:
-        self.t = t
-        self.bits = bits
+    t: np.ndarray
+    bits: np.ndarray
 
     def __len__(self) -> int:
         return len(self.t)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return AcceptedTrials(self.t[index], self.bits[:, index])
-        return TrialRecord(int(self.t[index]), tuple(self.bits[:, index].tolist()), True)
-
-    def __iter__(self) -> Iterator[TrialRecord]:
-        for start in range(0, len(self), BLOCK_TRIALS):
-            block = self[start : start + BLOCK_TRIALS]
-            for t, bits in zip(block.t.tolist(), block.bits.T.tolist()):
-                yield TrialRecord(t, tuple(bits), True)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
 
 def initialize(register: VirtualRegister, trials: int) -> AcceptedTrials:
-    """Measure ``trials`` times and keep only the accepted records.
+    """Measure ``trials`` times and keep only the accepted trials.
 
     A trial is accepted when the signal qubit reads bit 0 (green); rejected
-    trials produce no output at all.  Every returned record therefore has
-    signal bit 0.  The stream is walked in blocks of ``BLOCK_TRIALS``, and
-    the result is an array-backed sequence of ``TrialRecord``s (``.t``,
-    ``.bits``) that costs about ``8 + qubits`` bytes per accepted trial.
+    trials produce no output at all.  Every returned column therefore has
+    signal bit 0.  The stream is walked in blocks of ``BLOCK_TRIALS``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -185,22 +151,17 @@ def cnot(control_bit: int, target_bit: int) -> int:
     return target_bit ^ control_bit
 
 
-def apply_cnot_to_records(
-    records: Sequence[TrialRecord], control: int, target: int
-) -> list[TrialRecord]:
-    """Apply the controlled-NOT to the realized bits of every record.
+def apply_cnot_to_bits(bits: np.ndarray, control: int, target: int) -> np.ndarray:
+    """Apply the controlled-NOT to every column of ``bits`` (one row per qubit).
 
-    Only the target column changes.  Acceptance verdicts belong to the
-    measurement history and are kept as-is.
+    Returns a copy in which the target row is XORed with the control row;
+    ``bits`` and the control row are left unchanged.
     """
     if control == target:
         raise ValueError("control and target must differ")
-    out = []
-    for rec in records:
-        width = len(rec.bits)
-        if not (0 <= control < width and 0 <= target < width):
-            raise ValueError(f"qubit index outside record of width {width}")
-        bits = list(rec.bits)
-        bits[target] = cnot(bits[control], bits[target])
-        out.append(TrialRecord(rec.t, tuple(bits), rec.accepted))
+    rows = len(bits)
+    if not (0 <= control < rows and 0 <= target < rows):
+        raise ValueError(f"qubit index outside register of {rows} qubits")
+    out = bits.copy()
+    out[target] ^= bits[control]
     return out

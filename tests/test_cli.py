@@ -184,6 +184,12 @@ def test_unwritable_path_is_runtime_failure(capsys):
     assert err.startswith("phasebit:")
 
 
+def test_empty_out_path_is_config_error(capsys):
+    code, out, err = run_cli(["init", "--trials", "5", "--out", ""], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("phasebit: config error:") and "out path" in err
+
+
 @pytest.mark.parametrize(
     "spread,size", [("1e20", "32"), ("1e-300", "32"), ("5e-324", "32"), ("1e308", "4")]
 )

@@ -9,16 +9,14 @@ from phasebit import (
     Balanced,
     Definite,
     PhaseModel,
-    TrialRecord,
     VirtualRegister,
     analytic_correlation,
-    apply_cnot_to_records,
+    apply_cnot_to_bits,
     cnot,
     conditional_same_color_probability,
     hadamard,
     initialize,
     make_phase_stream,
-    measure_trial,
 )
 from phasebit.register import _trial_bits
 from phasebit.signals import BLOCK_TRIALS
@@ -57,38 +55,36 @@ def test_register_angles_property():
     assert reg.angles == (None, 0.5)
 
 
-# ------------------------------------------------------------ measure_trial
+# ------------------------------------------------------- single-trial rules
 
-def test_measure_all_definite_zero():
-    reg = fresh_register([Definite(0), Definite(0), Definite(0)])
-    rec = measure_trial(reg)
-    assert rec.bits == (0, 0, 0)
-    assert rec.accepted
+def test_one_trial_all_definite_zero_is_accepted():
+    accepted = initialize(fresh_register([Definite(0), Definite(0), Definite(0)]), 1)
+    assert accepted.t.tolist() == [0]
+    assert accepted.bits.tolist() == [[0], [0], [0]]
 
 
-def test_measure_definite_one_signal_rejects():
+def test_one_trial_definite_one_signal_rejects():
     reg = fresh_register([Definite(1), Balanced(0.0)])
-    rec = measure_trial(reg)
-    assert rec.bits[0] == 1
-    assert not rec.accepted
+    accepted = initialize(reg, 1)
+    assert len(accepted) == 0
+    assert reg.stream.position == 1
 
 
 def test_accepted_signal_zero_forces_opposite_target_at_pi():
     # signal and target read anticorrelated signals, so acceptance pins
     # the target to bit 1
     reg = fresh_register([Balanced(0.0), Balanced(math.pi)], seed=8)
-    for _ in range(1000):
-        rec = measure_trial(reg)
-        assert rec.accepted == (rec.bits[0] == 0)
-        if rec.accepted:
-            assert rec.bits[1] == 1
+    bits = initialize(reg, 1000).bits
+    assert 0 < bits.shape[1] < 1000
+    assert np.all(bits[0] == 0)
+    assert np.all(bits[1] == 1)
 
 
 def test_target_agreement_fraction_at_quarter_angle():
     reg = fresh_register([Balanced(0.0), Balanced(math.pi / 4)], seed=42)
-    records = initialize(reg, 100_000)
-    n = len(records)
-    p_same = sum(1 for r in records if r.bits[1] == 0) / n
+    accepted = initialize(reg, 100_000)
+    n = len(accepted)
+    p_same = float(np.mean(accepted.bits[1] == 0))
     expected = conditional_same_color_probability(math.pi / 4)  # 0.75
     stderr = math.sqrt(p_same * (1 - p_same) / n)
     assert abs(p_same - expected) <= 4 * stderr
@@ -98,23 +94,25 @@ def test_target_agreement_fraction_at_quarter_angle():
 
 def test_initialize_forced_acceptance():
     reg = fresh_register([Definite(0), Balanced(1.0)])
-    records = initialize(reg, 500)
-    assert len(records) == 500
-    assert all(r.accepted for r in records)
+    accepted = initialize(reg, 500)
+    assert len(accepted) == 500
+    assert np.array_equal(accepted.t, np.arange(500))
 
 
 def test_initialize_forced_rejection_outputs_nothing():
     reg = fresh_register([Definite(1), Balanced(1.0)])
-    assert initialize(reg, 500) == []
+    accepted = initialize(reg, 500)
+    assert len(accepted) == 0
+    assert reg.stream.position == 500
 
 
 def test_initialize_acceptance_rate_half():
     trials = 100_000
     reg = fresh_register([Balanced(2.0)], seed=42)
-    records = initialize(reg, trials)
-    rate = len(records) / trials
+    accepted = initialize(reg, trials)
+    rate = len(accepted) / trials
     assert abs(rate - 0.5) <= 4 * 0.5 / math.sqrt(trials)
-    assert all(r.bits[0] == 0 for r in records)
+    assert np.all(accepted.bits[0] == 0)
 
 
 def test_initialize_rejects_zero_trials():
@@ -123,22 +121,14 @@ def test_initialize_rejects_zero_trials():
         initialize(reg, 0)
 
 
-def test_initialize_equals_repeated_measure_trial():
-    qubits = [Balanced(0.3), Balanced(2.1), Definite(1)]
-    bulk = initialize(fresh_register(list(qubits), seed=99), 200)
-    loop_reg = fresh_register(list(qubits), seed=99)
-    looped = [measure_trial(loop_reg) for _ in range(200)]
-    assert bulk == [r for r in looped if r.accepted]
-
-
 def test_shared_phase_correlation_between_qubits():
     # unconditional pair correlation: keep every trial by pinning the signal
     alpha_k, alpha_l = 0.9, 0.9 + 2.2
     reg = fresh_register([Definite(0), Balanced(alpha_k), Balanced(alpha_l)], seed=42)
-    records = initialize(reg, 100_000)
-    values = np.array([[1 - 2 * r.bits[1], 1 - 2 * r.bits[2]] for r in records])
-    mean = float((values[:, 0] * values[:, 1]).mean())
-    stderr = math.sqrt((1 - mean**2) / len(records))
+    accepted = initialize(reg, 100_000)
+    signs = 1 - 2 * accepted.bits[1:].astype(np.int64)
+    mean = float((signs[0] * signs[1]).mean())
+    stderr = math.sqrt((1 - mean**2) / len(accepted))
     assert abs(mean - analytic_correlation(alpha_k - alpha_l)) <= 4 * stderr
 
 
@@ -150,19 +140,17 @@ def test_blocked_initialize_equals_one_unblocked_take(kind, signal_index):
     trials = 2 * BLOCK_TRIALS + 5
     stream = make_phase_stream(model)
     stream.skip(13)  # start mid-sequence, off any block boundary
-    records = initialize(VirtualRegister(qubits, stream, signal_index), trials)
+    accepted = initialize(VirtualRegister(qubits, stream, signal_index), trials)
     assert stream.position == 13 + trials
 
     reference = make_phase_stream(model)
     reference.skip(13)
     t, phi = reference.take(trials)
     bits = _trial_bits(qubits, phi)
-    expected = [
-        TrialRecord(int(t[i]), tuple(int(b) for b in bits[:, i]), True)
-        for i in np.flatnonzero(bits[signal_index] == 0)
-    ]
-    assert 0 < len(expected) < trials
-    assert list(records) == expected
+    keep = bits[signal_index] == 0
+    assert 0 < keep.sum() < trials
+    assert np.array_equal(accepted.t, t[keep])
+    assert np.array_equal(accepted.bits, bits[:, keep])
 
 
 @pytest.mark.parametrize("kind", ["iid", "oscillator"])
@@ -182,44 +170,40 @@ def test_initialize_evaluates_no_cosine_per_trial(kind, monkeypatch):
         return cosine(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "cos", counting)
-    records = initialize(VirtualRegister(qubits, make_phase_stream(model)), trials)
+    accepted = initialize(VirtualRegister(qubits, make_phase_stream(model)), trials)
     assert sum(evaluated) == 0
-    assert np.array_equal(records.t, t[keep])
-    assert np.array_equal(records.bits, bits[:, keep])
+    assert np.array_equal(accepted.t, t[keep])
+    assert np.array_equal(accepted.bits, bits[:, keep])
 
 
 def test_initialize_memory_does_not_grow_with_records():
     reg = fresh_register([Balanced(0.4 * k) for k in range(8)], seed=3)
     tracemalloc.start()
     try:
-        records = initialize(reg, 1_000_000)
+        accepted = initialize(reg, 1_000_000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 400_000 < len(records) < 600_000
+    assert 400_000 < len(accepted) < 600_000
     assert peak < 32 * 2**20
 
 
-def test_accepted_trials_behave_like_a_list():
-    reg = fresh_register([Balanced(0.0), Balanced(1.1), Definite(1)], seed=6)
-    records = initialize(reg, 50)
-    as_list = list(records)
-    assert isinstance(records, AcceptedTrials)
-    assert len(records) == len(as_list) > 2
-    assert records[-1] == as_list[-1]
-    assert records[1:3] == as_list[1:3]
-    assert [r for r in records] == as_list
-    assert records == as_list and as_list == records
-    assert not (records != as_list) and not (as_list != records)
-    assert records != as_list[:-1] and as_list[:-1] != records
-    assert apply_cnot_to_records(records, 1, 2) == apply_cnot_to_records(as_list, 1, 2)
+@pytest.mark.parametrize("signal_index", [0, 1])
+def test_accepted_trials_contract(signal_index):
+    qubits = [Balanced(0.0), Balanced(1.1), Definite(1)]
+    accepted = initialize(fresh_register(qubits, seed=6, signal_index=signal_index), 50)
+    assert isinstance(accepted, AcceptedTrials)
+    assert 2 < len(accepted) == accepted.t.size == accepted.bits.shape[1] < 50
+    assert accepted.t.dtype == np.int64 and accepted.bits.dtype == np.int8
+    assert accepted.bits.shape[0] == 3
+    assert np.all(accepted.bits[signal_index] == 0)
 
 
-def test_no_accepted_trial_gives_an_empty_sequence():
-    records = initialize(fresh_register([Definite(1), Balanced(0.5)]), 100)
-    assert records == [] and [] == records
-    assert len(records) == 0 and list(records) == []
-    assert records.bits.shape == (2, 0)
+def test_no_accepted_trial_gives_empty_columns():
+    accepted = initialize(fresh_register([Definite(1), Balanced(0.5)]), 100)
+    assert len(accepted) == 0
+    assert accepted.t.shape == (0,) and accepted.t.dtype == np.int64
+    assert accepted.bits.shape == (2, 0) and accepted.bits.dtype == np.int8
 
 
 # ----------------------------------------------------------------- hadamard
@@ -268,31 +252,38 @@ def test_cnot_rejects_non_bits():
         cnot(0, -1)
 
 
-def test_apply_cnot_to_records_flips_target_when_control_set():
-    records = [
-        TrialRecord(0, (1, 0), False),
-        TrialRecord(1, (0, 1), True),
-    ]
-    out = apply_cnot_to_records(records, 0, 1)
-    assert out[0].bits == (1, 1)
-    assert out[1].bits == (0, 1)
-    # acceptance verdicts and trial indices are untouched
-    assert [(r.t, r.accepted) for r in out] == [(0, False), (1, True)]
+def test_apply_cnot_to_bits_flips_target_where_control_set():
+    bits = np.array([[1, 0, 1, 0], [0, 0, 1, 1]], dtype=np.int8)
+    out = apply_cnot_to_bits(bits, 0, 1)
+    assert out.tolist() == [[1, 0, 1, 0], [1, 0, 0, 1]]
+    assert out.dtype == np.int8
+    # the input array, control row included, is untouched
+    assert bits.tolist() == [[1, 0, 1, 0], [0, 0, 1, 1]]
 
 
 def test_apply_cnot_is_an_involution():
     reg = fresh_register([Balanced(0.2), Balanced(1.4), Balanced(2.9)], seed=4)
-    records = initialize(reg, 2000)
-    once = apply_cnot_to_records(records, 1, 2)
-    twice = apply_cnot_to_records(once, 1, 2)
-    assert twice == records
-    # control column bitwise identical before and after
-    assert [r.bits[1] for r in once] == [r.bits[1] for r in records]
+    bits = initialize(reg, 2000).bits
+    before = bits.copy()
+    once = apply_cnot_to_bits(bits, 1, 2)
+    twice = apply_cnot_to_bits(once, 1, 2)
+    assert np.array_equal(twice, bits)
+    assert np.array_equal(bits, before)
+    assert not np.array_equal(once, bits)
+    # control row bitwise identical before and after
+    assert np.array_equal(once[1], bits[1])
 
 
 def test_apply_cnot_validation():
-    records = [TrialRecord(0, (0, 1), True)]
+    bits = np.array([[0], [1]], dtype=np.int8)
+    for control, target in [(1, 1), (0, 2), (2, 0), (-1, 0), (0, -1)]:
+        with pytest.raises(ValueError):
+            apply_cnot_to_bits(bits, control, target)
+
+
+def test_apply_cnot_validates_indices_with_no_accepted_trial():
+    bits = initialize(fresh_register([Definite(1), Balanced(0.5)]), 100).bits
+    assert bits.shape == (2, 0)
     with pytest.raises(ValueError):
-        apply_cnot_to_records(records, 1, 1)
-    with pytest.raises(ValueError):
-        apply_cnot_to_records(records, 0, 2)
+        apply_cnot_to_bits(bits, 0, 5)
+    assert apply_cnot_to_bits(bits, 0, 1).shape == (2, 0)
