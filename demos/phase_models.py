@@ -12,9 +12,9 @@ Everything in this package reduces to one stationary random phase on
   trial index, and it spreads evenly over the circle.
 
 Both pass a Kolmogorov-Smirnov uniformity check. Counter addressing also
-makes substreams exact: splitting the trial range across workers re-covers
-the serial sequence sample for sample, so results cannot depend on the
-worker count.
+makes substreams exact: leapfrog chunks of the trial range re-cover the
+serial sequence sample for sample, so each curve point can draw its own
+trials from one seed.
 
 Run:  python3 demos/phase_models.py
 """

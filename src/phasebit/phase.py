@@ -17,8 +17,8 @@ and share one conversion to radians:
 
 Because a phase is a pure function of ``(model, trial index)``, streams are
 reproducible bit-for-bit across runs and platforms, and leapfrog substreams
-partition the serial sequence exactly.  That is what makes worker-count
-independence an identity rather than an approximation.
+partition the serial sequence exactly.  That is what lets each curve point
+and each independent CHSH correlator draw its own trials from one seed.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ PHASE_STEPS = 2**53
 _TURN = 2**64
 _STEP_SHIFT = np.uint64(64 - 53)
 _INV_2POW53 = 1.0 / PHASE_STEPS
+# 2*pi / 2**53 is exact, so k * _STEP_RADIANS rounds as (k / 2**53) * 2*pi does
+_STEP_RADIANS = _INV_2POW53 * TWO_PI
 
 
 def wrap_angle(x: float) -> float:
@@ -74,10 +76,9 @@ def wrap_angle(x: float) -> float:
 
 def _hash64(seed: int, counters: np.ndarray) -> np.ndarray:
     """splitmix64 of each counter: uniform uint64 turns addressed by index."""
-    z = counters.astype(np.uint64)
-    z += np.uint64(1)
-    z *= _GAMMA
-    z += np.uint64(seed)
+    # (t + 1)*GAMMA + seed == t*GAMMA + (GAMMA + seed) mod 2**64, in two passes
+    z = np.asarray(counters, dtype=np.int64).view(np.uint64) * _GAMMA
+    z += np.uint64((int(_GAMMA) + seed) % _TURN)
     shifted = np.right_shift(z, np.uint64(30))
     z ^= shifted
     z *= _MIX1
@@ -89,12 +90,11 @@ def _hash64(seed: int, counters: np.ndarray) -> np.ndarray:
     return z
 
 
-def _unit(turns: np.ndarray) -> np.ndarray:
-    """The top 53 bits of uint64 turns as doubles in [0, 1); shifts ``turns`` in place."""
+def _steps(turns: np.ndarray) -> np.ndarray:
+    """The top 53 bits of uint64 turns as doubles; shifts ``turns`` in place."""
     turns >>= _STEP_SHIFT
-    u = turns.astype(np.float64)
-    u *= _INV_2POW53
-    return u
+    # below 2**53 the int64 view converts to the same double, faster than uint64
+    return turns.view(np.int64).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,8 @@ def ensemble_frequencies(model: PhaseModel) -> np.ndarray:
     """
     if model.kind != OSCILLATOR_ENSEMBLE:
         raise ValueError("ensemble_frequencies only applies to the oscillator model")
-    u = _unit(_hash64(model.seed ^ _FREQ_TAG, np.arange(model.ensemble_size))) + _INV_2POW53
-    return model.frequency_spread * u
+    steps = _steps(_hash64(model.seed ^ _FREQ_TAG, np.arange(model.ensemble_size)))
+    return model.frequency_spread * ((steps + 1.0) * _INV_2POW53)  # exact: steps + 1 <= 2**53
 
 
 @functools.lru_cache(maxsize=16)
@@ -160,11 +160,11 @@ def phases_at(model: PhaseModel, trials: np.ndarray) -> np.ndarray:
     if model.kind == IID_UNIFORM:
         turns = _hash64(model.seed, t)
     else:
-        turns = t.astype(np.uint64)
-        turns += np.uint64(model.burn_in % 2**64)
-        turns *= np.uint64(_rate_turns(model))
-    phi = _unit(turns)
-    phi *= TWO_PI
+        r = _rate_turns(model)  # (t + burn_in)*r == t*r + burn_in*r mod 2**64
+        turns = t.view(np.uint64) * np.uint64(r)
+        turns += np.uint64(model.burn_in * r % _TURN)
+    phi = _steps(turns)
+    phi *= _STEP_RADIANS
     return phi
 
 
@@ -174,7 +174,7 @@ def step_phase(step: int) -> float:
     Python floats round like numpy's float64, so this equals what
     :func:`phases_at` computes for those trials.
     """
-    return step * _INV_2POW53 * TWO_PI
+    return step * _STEP_RADIANS
 
 
 class PhaseStream:
@@ -206,7 +206,10 @@ class PhaseStream:
         """Draw the next ``count`` samples as ``(trial_indices, phases)`` arrays."""
         if count < 0:
             raise ValueError("count must be >= 0")
-        t = self.start + self.stride * (self._cursor + np.arange(count, dtype=np.int64))
+        first = self.start + self.stride * self._cursor
+        if count and first + self.stride * (count - 1) >= 2**63:
+            raise ValueError("trial indices must stay below 2**63")
+        t = np.arange(first, first + self.stride * count, self.stride, dtype=np.int64)
         phi = phases_at(self.model, t)
         self._cursor += count
         return t, phi

@@ -28,8 +28,9 @@ below each edge is a closed-form floor sum
 at any trial count.  The signal on each run is read from
 :func:`dichotomic_array` at the run's first phase, so that predicate stays
 the authority for every estimate.  Counts and ``+-1`` product sums are
-integers, so a partitioned (multi-worker) evaluation reproduces the serial
-result exactly.
+integers, so the result does not depend on the blocking or the counting
+method.  The ``workers`` arguments are validated but partition no work:
+both models count the serial trial range.
 """
 
 from __future__ import annotations
@@ -44,16 +45,15 @@ from .phase import (
     OSCILLATOR_ENSEMBLE,
     PHASE_STEPS,
     PhaseStream,
-    chunk_quota,
     oscillator_steps_below,
     step_phase,
-    substream,
     wrap_angle,
 )
+from .phase import chunk_quota, substream  # unused here; bench/layer_trace.py wraps them by these names
 
 # Trials per array pass; bounds memory at O(block) without changing a sum.
 BLOCK_TRIALS = 1 << 16
-# The kernel visits every chunk, empty or not, so the partition count is bounded.
+# Bound of the validated ``workers`` argument, which no longer partitions any work.
 MAX_WORKERS = 256
 # The floats at which the cosine's sign differs from the float just below,
 # near -pi/2, pi/2, 3pi/2 and 5pi/2: the only ones in COS_SIGN_RANGE.  The
@@ -167,18 +167,17 @@ def sign_product_sums(
 
     Angles are wrapped to ``(-pi, pi]`` first.  The union of the angles'
     :func:`sign_edges` cuts the steps into runs on which every signal is
-    constant.  For the ``iid`` model ``workers`` splits the trials into
-    leapfrog substreams, walked in blocks of ``BLOCK_TRIALS`` that count the
-    phases below each edge's :func:`step_phase`, which is exactly the count
-    of steps below the edge.  For the ``oscillator`` the counts over the
-    serial range come in closed form from
+    constant.  For the ``iid`` model one serial loop draws the trials in
+    blocks of ``BLOCK_TRIALS`` and counts the phases below each edge's
+    :func:`step_phase`, which is exactly the count of steps below the edge.
+    For the ``oscillator`` the counts come in closed form from
     :func:`~phasebit.phase.oscillator_steps_below`, in O(log) big-integer
-    steps per edge and no phase drawn; ``workers`` is validated but splits
+    steps per edge and no phase drawn.  ``workers`` is validated but splits
     no work.  One :func:`dichotomic_array` call per angle on the runs' first
     phases gives the signals, and each sum is the run counts weighted by
     ``s(x) * s(y)``.  Integer counts make the result independent of the
-    partition, the blocking and the counting method.  The stream's cursor
-    advances by ``n``.
+    blocking and the counting method.  The stream's cursor advances by
+    ``n``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -189,19 +188,16 @@ def sign_product_sums(
     edges = sorted(set().union(*(sign_edges(a) for a in angles)))
     bounds = [step_phase(k) for k in edges]
     if stream.model.kind == OSCILLATOR_ENSEMBLE:
-        # the leapfrog chunks together cover the serial range, so count that
         below = oscillator_steps_below(stream, n, edges)
+        stream.skip(n)
     else:
         below = [0] * len(bounds)
-        for chunk in range(workers):
-            sub = substream(stream, chunk, workers)
-            quota = chunk_quota(n, chunk, workers)
-            while sub.position < quota:
-                # no `del phi`: freeing each block lets glibc trim the heap and fault it back in
-                phi = sub.take(min(BLOCK_TRIALS, quota - sub.position))[1]
-                for j, bound in enumerate(bounds):
-                    below[j] += int(np.count_nonzero(phi < bound))
-    stream.skip(n)
+        end = stream.position + n
+        while stream.position < end:
+            # no `del phi`: freeing each block lets glibc trim the heap and fault it back in
+            phi = stream.take(min(BLOCK_TRIALS, end - stream.position))[1]
+            for j, bound in enumerate(bounds):
+                below[j] += int(np.count_nonzero(phi < bound))
     runs = np.diff(np.array([0, *below, n], dtype=np.int64))
     first_phases = np.array([0.0, *bounds])
     signs = {a: dichotomic_array(first_phases, a).astype(np.int64) for a in angles}
@@ -219,8 +215,7 @@ def estimate_correlation(
     """Estimate the signal correlation from ``n`` shared-phase trials.
 
     The trials are consumed from ``stream`` (its cursor advances by ``n``).
-    ``workers`` only controls how the trial range is partitioned into
-    leapfrog substreams; product sums are integers, so the result is
+    ``workers`` is validated but partitions no work, so the result is
     bit-identical for every worker count.
     """
     (total,) = sign_product_sums(stream, ((alpha1, alpha2),), n, workers=workers)

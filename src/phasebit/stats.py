@@ -70,8 +70,8 @@ def correlation_curve(
     """Estimated vs analytic correlation over a grid of angle separations.
 
     Each grid point runs on its own leapfrog substream of one base stream,
-    so the whole curve is reproducible from the model alone and independent
-    of the worker count.
+    so the whole curve is reproducible from the model alone.  ``workers`` is
+    validated but partitions no work.
     """
     deltas = [float(d) for d in deltas]
     if not deltas:
@@ -101,7 +101,8 @@ def chsh_classical(
     With ``shared_trials`` every trial evaluates all four correlators from
     the same phase draw (the model assigns every setting a value at once);
     otherwise each correlator runs on its own substream of ``n`` fresh
-    trials.  Either way each term uses ``n`` samples.
+    trials.  Either way each term uses ``n`` samples.  ``workers`` is
+    validated but partitions no work.
     """
     angles = (float(a1), float(a2), float(b1), float(b2))
     pairs = tuple((a, b) for a in angles[:2] for b in angles[2:])

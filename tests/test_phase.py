@@ -259,6 +259,12 @@ def _splitmix64(seed, counter):
         (42, 123456789, 0x3DB9D96568CDF223),
         (2**64 - 1, 0, 0xE4D971771B652C20),
         (2**64 - 1, 2**62 + 12345, 0x835ECA2D5F5B5EF9),
+        # the far end of int64; seed 2**64 - 1 wraps the folded GAMMA + seed
+        (0, 2**31, 0x706EDE5CFCDC9A1C),
+        (0, 2**53 - 1, 0xAB29BC09EEA9E507),
+        (2**64 - 1, 2**53 + 1, 0x7DF56C28D5577CBA),
+        (0, 2**63 - 1, 0x25C26EA579CEA98A),
+        (2**64 - 1, 2**63 - 1, 0x5A682AFE7965DEBD),
     ],
 )
 def test_hash64_pinned_values(seed, counter, expected):
@@ -281,14 +287,21 @@ def test_phase_steps_give_the_phases_of_take(model):
     stream.skip(7)
     t, phi = stream.take(2000)
     assert t.tolist() == list(range(7, 2007))
+    trials, phases = t.tolist(), phi.tolist()
+    # single trials out to the last int64 index, where the float and int64 views must stay exact
+    for i in (0, 1, 2**31, 2**53 - 1, 2**53 + 1, 2**62 + 12345, 2**63 - 1):
+        t, phi = PhaseStream(model, start=i).take(1)
+        assert t.tolist() == [i]
+        trials += t.tolist()
+        phases += phi.tolist()
     if model.kind == IID_UNIFORM:
-        turns = [_splitmix64(model.seed, i) for i in range(7, 2007)]
+        turns = [_splitmix64(model.seed, i) for i in trials]
     else:
         r = int(math.ldexp(math.fsum(ensemble_frequencies(model).tolist()) / TWO_PI % 1.0, 64))
-        turns = [r * (i + model.burn_in) % 2**64 for i in range(7, 2007)]
+        turns = [r * (i + model.burn_in) % 2**64 for i in trials]
     steps = [z >> 11 for z in turns]
     assert max(steps) < phase_module.PHASE_STEPS
-    assert [phase_module.step_phase(k) for k in steps] == phi.tolist()
+    assert [phase_module.step_phase(k) for k in steps] == phases
 
 
 def test_phases_at_rejects_negative_trials():
@@ -362,3 +375,9 @@ def test_stream_rejects_bad_construction():
         stream.take(-1)
     with pytest.raises(ValueError):
         stream.skip(-1)
+    # a window whose trial indices cross 2**63 is refused, not wrapped
+    for start, stride, count in ((2**63 - 10, 1, 20), (0, 2**62, 3)):
+        window = PhaseStream(PhaseModel(seed=0), start=start, stride=stride)
+        with pytest.raises(ValueError):
+            window.take(count)
+        assert window.position == 0

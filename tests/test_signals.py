@@ -18,7 +18,7 @@ from phasebit import (
 )
 from phasebit import phase as phase_module
 from phasebit import signals
-from phasebit.phase import OSCILLATOR_ENSEMBLE, PHASE_STEPS, step_phase
+from phasebit.phase import OSCILLATOR_ENSEMBLE, PHASE_STEPS, PhaseStream, step_phase
 from phasebit.signals import BLOCK_TRIALS, MAX_WORKERS, sign_edges, sign_product_sums
 
 
@@ -383,6 +383,24 @@ def test_kernel_draws_its_phases_through_take(model, workers, monkeypatch):
     estimate_correlation(make_phase_stream(model), 0.0, 0.7, n, workers=workers)
     # the oscillator is counted in closed form and draws no phase at all
     assert sum(drawn) == (0 if model.kind == OSCILLATOR_ENSEMBLE else n)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_iid_kernel_draws_the_serial_range_in_order(workers, monkeypatch):
+    drawn = []
+    reference = phase_module.phases_at
+
+    def recording(m, trials):
+        drawn.extend(np.asarray(trials).tolist())
+        return reference(m, trials)
+
+    monkeypatch.setattr(phase_module, "phases_at", recording)
+    start, stride, cursor = 5, 3, 17
+    stream = PhaseStream(PhaseModel(seed=31), start=start, stride=stride)
+    stream.skip(cursor)
+    n = 2 * BLOCK_TRIALS + 7
+    sign_product_sums(stream, ((0.0, 0.7),), n, workers=workers)
+    assert drawn == [start + stride * (cursor + j) for j in range(n)]
 
 
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=["iid", "oscillator"])
