@@ -1,8 +1,9 @@
 """Command-line experiment runner with deterministic CSV/JSON output.
 
 Every experiment is a pure function of its configuration: rerunning the
-same config (or changing ``--workers``) reproduces the output byte for
-byte.  Floats are printed with 12 significant digits, CSV rows end in a
+same config reproduces the output byte for byte.  ``--workers`` is only
+range-checked: no command splits its trials by it, so it never changes the
+output.  Floats are printed with 12 significant digits, CSV rows end in a
 line feed, and JSON mirrors the CSV columns as an array of objects.
 """
 
@@ -81,9 +82,7 @@ def emit_json(fieldnames: Sequence[str], rows: Sequence[Sequence], out_path: str
 
 
 def _run_curve(config: ExperimentConfig):
-    points = correlation_curve(
-        config.model, config.angles, config.trials, workers=config.workers
-    )
+    points = correlation_curve(config.model, config.angles, config.trials)
     rows = [
         (p.delta, p.analytic, p.estimated.mean, p.estimated.stderr, p.estimated.n)
         for p in points
@@ -94,8 +93,7 @@ def _run_curve(config: ExperimentConfig):
 def _run_chsh(config: ExperimentConfig):
     a1, a2, b1, b2 = config.angles
     result = chsh_classical(
-        config.model, a1, a2, b1, b2, config.trials,
-        shared_trials=config.shared_trials, workers=config.workers,
+        config.model, a1, a2, b1, b2, config.trials, shared_trials=config.shared_trials
     )
     s_quantum = chsh_quantum(a1, a2, b1, b2)
     # magnitude gap; the two models anchor opposite signs at equal settings

@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Mapping, NamedTuple
 
 from .phase import IID_UNIFORM, OSCILLATOR_ENSEMBLE, PhaseModel
-from .signals import MAX_WORKERS
 
 
 class ConfigError(ValueError):
@@ -27,6 +26,8 @@ FORMATS = ("csv", "json")
 MODEL_KINDS = (IID_UNIFORM, OSCILLATOR_ENSEMBLE)
 STDOUT_SENTINEL = "-"
 ENV_SEED = "PHASEBIT_SEED"
+# Bound of the ``workers`` key, which no command partitions its trials by.
+MAX_WORKERS = 256
 
 _GRID_17 = tuple(k * math.pi / 16 for k in range(17))
 _DEFAULT_ANGLES = {
@@ -132,8 +133,8 @@ KEYS = {
     "out": Key(str, "--out", "PATH", "output file, '-' for stdout (default)", field="out_path"),
     "format": Key(str, "--format", "FMT", f"output format: {' | '.join(FORMATS)}"),
     "workers": Key(int, "--workers", "N",
-                   f"1..{MAX_WORKERS}; validated, but no command partitions its trials by it "
-                   "any more; never changes results"),
+                   f"1..{MAX_WORKERS}; validated here only: no command splits its trials "
+                   "by it, so it never changes results"),
     "signal_index": Key(int, "--signal-index", "N", "which qubit gates acceptance (init)"),
     "shared_trials": Key(_parse_bool, "--independent-trials",
                          help="estimate each CHSH correlator on its own trials"),

@@ -18,7 +18,8 @@ and share one conversion to radians:
 Because a phase is a pure function of ``(model, trial index)``, streams are
 reproducible bit-for-bit across runs and platforms, and leapfrog substreams
 partition the serial sequence exactly.  That is what lets each curve point
-and each independent CHSH correlator draw its own trials from one seed.
+and each independent CHSH correlator draw its own trials from one seed;
+each of them counts its trials in one serial pass.
 """
 
 from __future__ import annotations
@@ -182,9 +183,9 @@ class PhaseStream:
 
     The underlying sequence is addressed by trial index; a stream holds an
     immutable ``(start, stride)`` window plus a cursor.  Drawing advances
-    only the cursor, so equal configurations replay identical samples.  A
-    stream instance must not be advanced from two threads at once; parallel
-    work splits the sequence with :func:`substream` instead.
+    only the cursor, so equal configurations replay identical samples.  The
+    cursor is not locked, so one stream must not be advanced from two
+    threads at once.
     """
 
     def __init__(self, model: PhaseModel, start: int = 0, stride: int = 1):

@@ -16,25 +16,25 @@ Elements outside that range, NaN and infinities are read from ``np.cos``.
 
 The estimator evaluates no cosine per trial.  A phase is one of
 ``PHASE_STEPS`` steps of a turn, and the signal at a fixed angle is constant
-on a few whole runs of steps.  The runs' edges are found once per angle by
-bisecting on the step.  The phase never decreases as the step grows, and it
-differs across each edge because the signal does, so a trial's step lies
-below an edge exactly when its phase lies below the edge's phase.  For the
-``iid`` model each block of phases drawn with :meth:`PhaseStream.take` then
-only counts how many fall below each edge's phase.  The ``oscillator``'s
-turns are an arithmetic progression mod ``2**64``, so its count of steps
-below each edge is a closed-form floor sum
+on a few whole runs of steps.  The phase plus the angle never decreases as
+the step grows, so each run starts at the first step whose sum reaches one
+of ``COS_SIGN_EDGES``, found once per angle by bisecting on the step.  The
+step before holds a smaller sum, hence a smaller phase, so a trial's step
+lies below such an edge exactly when its phase lies below the edge step's
+phase.  For the ``iid`` model each block of phases drawn with
+:meth:`PhaseStream.take` then only counts how many fall below each edge's
+phase.  The ``oscillator``'s turns are an arithmetic progression mod
+``2**64``, so its count of steps below each edge is a closed-form floor sum
 (:func:`~phasebit.phase.oscillator_steps_below`) and no phase is generated,
 at any trial count.  The signal on each run is read from
-:func:`dichotomic_array` at the run's first phase, so that predicate stays
-the authority for every estimate.  Counts and ``+-1`` product sums are
-integers, so the result does not depend on the blocking or the counting
-method.  The ``workers`` arguments are validated but partition no work:
-both models count the serial trial range.
+:func:`dichotomic_array` at the run's first phase.  Counts and ``+-1``
+product sums are integers, so the result does not depend on the blocking or
+the counting method.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -53,8 +53,6 @@ from .phase import chunk_quota, substream  # unused here; bench/layer_trace.py w
 
 # Trials per array pass; bounds memory at O(block) without changing a sum.
 BLOCK_TRIALS = 1 << 16
-# Bound of the validated ``workers`` argument, which no longer partitions any work.
-MAX_WORKERS = 256
 # The floats at which the cosine's sign differs from the float just below,
 # near -pi/2, pi/2, 3pi/2 and 5pi/2: the only ones in COS_SIGN_RANGE.  The
 # cosine there is about 1e-16 from 0, far above a faithful cosine's error.
@@ -129,39 +127,23 @@ def conditional_same_color_probability(delta: float) -> float:
 def sign_edges(alpha: float) -> tuple[int, ...]:
     """The sorted steps ``k`` whose signal at ``alpha`` differs from the signal at ``k - 1``.
 
-    ``step_phase(k) + alpha`` never decreases as ``k`` grows, and the cosine
-    changes sign only at its roots, which lie ``pi`` apart.  The step range
-    is split until each piece spans less than 3 radians or one step, so it
-    holds at most one edge, and each piece whose end signals differ is
-    bisected to that edge.  Pure-Python floats round as numpy's float64 does.
+    ``step_phase(k) + alpha`` never decreases as ``k`` grows and stays in
+    ``(-pi, 3pi]``, where the signal is the parity of the
+    ``COS_SIGN_EDGES`` reached, so it changes exactly at the first step
+    reaching each edge.  Pure-Python floats round as numpy's float64 does.
+    Raises ``ValueError`` for ``alpha`` outside ``(-pi, pi]``.
     """
-
-    def signal(k: int) -> int:
-        return dichotomic(step_phase(k), alpha)
-
-    edges = []
-    pieces = [(0, PHASE_STEPS - 1)]
-    while pieces:
-        lo, hi = pieces.pop()
-        if hi - lo > 1 and (step_phase(hi) + alpha) - (step_phase(lo) + alpha) >= 3.0:
-            mid = (lo + hi) // 2
-            pieces += [(mid, hi), (lo, mid)]
-            continue
-        low_signal = signal(lo)
-        if signal(hi) == low_signal:
-            continue
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if signal(mid) == low_signal:
-                lo = mid
-            else:
-                hi = mid
-        edges.append(hi)
-    return tuple(sorted(edges))
+    if not -math.pi < alpha <= math.pi:
+        raise ValueError(f"alpha must be wrapped to (-pi, pi], got {alpha!r}")
+    first_reaching = (
+        bisect.bisect_left(range(PHASE_STEPS), e, key=lambda k: step_phase(k) + alpha)
+        for e in COS_SIGN_EDGES
+    )
+    return tuple(k for k in first_reaching if 0 < k < PHASE_STEPS)
 
 
 def sign_product_sums(
-    stream: PhaseStream, pairs: tuple[tuple[float, float], ...], n: int, *, workers: int = 1
+    stream: PhaseStream, pairs: tuple[tuple[float, float], ...], n: int
 ) -> list[int]:
     """Exact sums of ``s(x) * s(y)`` over the next ``n`` trials, one per pair ``(x, y)``.
 
@@ -172,17 +154,14 @@ def sign_product_sums(
     :func:`step_phase`, which is exactly the count of steps below the edge.
     For the ``oscillator`` the counts come in closed form from
     :func:`~phasebit.phase.oscillator_steps_below`, in O(log) big-integer
-    steps per edge and no phase drawn.  ``workers`` is validated but splits
-    no work.  One :func:`dichotomic_array` call per angle on the runs' first
-    phases gives the signals, and each sum is the run counts weighted by
-    ``s(x) * s(y)``.  Integer counts make the result independent of the
-    blocking and the counting method.  The stream's cursor advances by
-    ``n``.
+    steps per edge and no phase drawn.  One :func:`dichotomic_array` call
+    per angle on the runs' first phases gives the signals, and each sum is
+    the run counts weighted by ``s(x) * s(y)``.  Integer counts make the
+    result independent of the blocking and the counting method.  The
+    stream's cursor advances by ``n``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ValueError(f"workers must be in 1..{MAX_WORKERS}")
     pairs = [(wrap_angle(x), wrap_angle(y)) for x, y in pairs]
     angles = dict.fromkeys(a for pair in pairs for a in pair)
     edges = sorted(set().union(*(sign_edges(a) for a in angles)))
@@ -209,14 +188,10 @@ def estimate_correlation(
     alpha1: float,
     alpha2: float,
     n: int,
-    *,
-    workers: int = 1,
 ) -> CorrelationEstimate:
     """Estimate the signal correlation from ``n`` shared-phase trials.
 
     The trials are consumed from ``stream`` (its cursor advances by ``n``).
-    ``workers`` is validated but partitions no work, so the result is
-    bit-identical for every worker count.
     """
-    (total,) = sign_product_sums(stream, ((alpha1, alpha2),), n, workers=workers)
+    (total,) = sign_product_sums(stream, ((alpha1, alpha2),), n)
     return CorrelationEstimate.from_product_sum(total, n)

@@ -40,8 +40,10 @@ class ChshResult:
     """Four-correlator CHSH estimate.
 
     ``terms`` holds ``E(a1,b1), E(a1,b2), E(a2,b1), E(a2,b2)`` in that
-    order; ``s_value`` combines them with signs ``+ - + +`` and
-    ``s_stderr`` adds their errors in quadrature.
+    order, and ``s_value`` combines them with signs ``+ - + +``.  On shared
+    trials each trial's ``s_a1*(s_b1 - s_b2) + s_a2*(s_b1 + s_b2)`` is exactly
+    ``+-2``, so ``s_stderr`` is the standard error of that per-trial value;
+    on independent trials it adds the terms' errors in quadrature.
     """
 
     angles: tuple[float, float, float, float]
@@ -60,18 +62,11 @@ class KsResult(NamedTuple):
     critical_1pct: float
 
 
-def correlation_curve(
-    model: PhaseModel,
-    deltas: Sequence[float],
-    n: int,
-    *,
-    workers: int = 1,
-) -> list[CurvePoint]:
+def correlation_curve(model: PhaseModel, deltas: Sequence[float], n: int) -> list[CurvePoint]:
     """Estimated vs analytic correlation over a grid of angle separations.
 
     Each grid point runs on its own leapfrog substream of one base stream,
-    so the whole curve is reproducible from the model alone.  ``workers`` is
-    validated but partitions no work.
+    so the whole curve is reproducible from the model alone.
     """
     deltas = [float(d) for d in deltas]
     if not deltas:
@@ -80,7 +75,7 @@ def correlation_curve(
     points = []
     for i, delta in enumerate(deltas):
         sub = substream(base, i, len(deltas))
-        est = estimate_correlation(sub, 0.0, delta, n, workers=workers)
+        est = estimate_correlation(sub, 0.0, delta, n)
         points.append(CurvePoint(delta, analytic_correlation(delta), est))
     return points
 
@@ -94,29 +89,30 @@ def chsh_classical(
     n: int,
     *,
     shared_trials: bool = True,
-    workers: int = 1,
 ) -> ChshResult:
     """CHSH estimate on the shared-phase signal model.
 
     With ``shared_trials`` every trial evaluates all four correlators from
     the same phase draw (the model assigns every setting a value at once);
     otherwise each correlator runs on its own substream of ``n`` fresh
-    trials.  Either way each term uses ``n`` samples.  ``workers`` is
-    validated but partitions no work.
+    trials.  Either way each term uses ``n`` samples.
     """
     angles = (float(a1), float(a2), float(b1), float(b2))
     pairs = tuple((a, b) for a in angles[:2] for b in angles[2:])
     base = make_phase_stream(model)
     if shared_trials:
-        totals = sign_product_sums(base, pairs, n, workers=workers)
+        totals = sign_product_sums(base, pairs, n)
         terms = tuple(CorrelationEstimate.from_product_sum(tot, n) for tot in totals)
+        # the four terms share every phase, so their errors do not add in quadrature
+        s_total = totals[0] - totals[1] + totals[2] + totals[3]
+        s_stderr = math.sqrt((4 * n * n - s_total * s_total) / n**3)
     else:
         terms = tuple(
-            estimate_correlation(substream(base, k, 4), x, y, n, workers=workers)
+            estimate_correlation(substream(base, k, 4), x, y, n)
             for k, (x, y) in enumerate(pairs)
         )
+        s_stderr = math.sqrt(sum(t.stderr**2 for t in terms))
     s_value = terms[0].mean - terms[1].mean + terms[2].mean + terms[3].mean
-    s_stderr = math.sqrt(sum(t.stderr**2 for t in terms))
     return ChshResult(angles, terms, s_value, s_stderr)
 
 

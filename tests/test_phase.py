@@ -196,7 +196,7 @@ def test_floor_sum_equals_brute_force():
 
 OSCILLATOR_EDGES = sorted(
     {0, 1, 2, 2**52, PHASE_STEPS - 1, PHASE_STEPS}
-    | {e for alpha in (0.0, 0.7, -1.0, math.pi, 1e16) for e in sign_edges(alpha)}
+    | {e for alpha in (0.0, 0.7, -1.0, math.pi, wrap_angle(1e16)) for e in sign_edges(alpha)}
 )
 
 

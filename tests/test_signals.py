@@ -19,7 +19,7 @@ from phasebit import (
 from phasebit import phase as phase_module
 from phasebit import signals
 from phasebit.phase import OSCILLATOR_ENSEMBLE, PHASE_STEPS, PhaseStream, step_phase
-from phasebit.signals import BLOCK_TRIALS, MAX_WORKERS, sign_edges, sign_product_sums
+from phasebit.signals import BLOCK_TRIALS, sign_edges, sign_product_sums
 
 
 def agreement_probability_quadrature(delta, n=2_000_001):
@@ -248,25 +248,14 @@ def test_estimate_rejects_zero_samples():
         estimate_correlation(stream, 0.0, 1.0, 0)
 
 
-def test_estimate_worker_count_is_invisible():
-    model = PhaseModel(seed=2718)
-    for workers in (2, 3, 4, 7):
-        serial = estimate_correlation(make_phase_stream(model), 0.1, 0.9, 10_001)
-        split = estimate_correlation(
-            make_phase_stream(model), 0.1, 0.9, 10_001, workers=workers
-        )
-        assert split == serial  # bit-exact, including stderr
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["iid", "oscillator"])
-def test_kernel_sums_equal_one_take_across_block_boundaries(kind, workers):
+def test_kernel_sums_equal_one_take_across_block_boundaries(kind):
     model = PhaseModel(kind=kind, seed=31)
     n = 3 * BLOCK_TRIALS + 5
     pairs = ((0.0, 0.7), (0.7, 2.5), (0.0, 0.0), (-1.0, math.pi))
     stream = make_phase_stream(model)
     stream.skip(11)  # start mid-sequence, off any block boundary
-    sums = sign_product_sums(stream, pairs, n, workers=workers)
+    sums = sign_product_sums(stream, pairs, n)
     assert stream.position == 11 + n
 
     reference = make_phase_stream(model)
@@ -292,14 +281,13 @@ ANGLES = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(KERNEL_MODELS),
-    st.integers(min_value=1, max_value=3),
     st.lists(st.tuples(ANGLES, ANGLES), min_size=1, max_size=4),
 )
-def test_kernel_sums_equal_one_unblocked_take(model, workers, pairs):
+def test_kernel_sums_equal_one_unblocked_take(model, pairs):
     n = 2 * BLOCK_TRIALS + 7
     stream = make_phase_stream(model)
     stream.skip(1234)
-    sums = sign_product_sums(stream, tuple(pairs), n, workers=workers)
+    sums = sign_product_sums(stream, tuple(pairs), n)
 
     reference = make_phase_stream(model)
     reference.skip(1234)
@@ -317,24 +305,31 @@ def test_kernel_sums_equal_one_unblocked_take(model, workers, pairs):
 @example(-5e-324)
 @example(math.pi / 2)
 @example(math.nextafter(math.pi / 2, 0.0))
-# unwrapped angles whose float sum with a phase jumps by 8 rad between two steps
-@example(2.0**55)
-@example(-(2.0**55))
 def test_each_sign_edge_flips_the_reference_signal(alpha):
+    alpha = wrap_angle(alpha)
     edges = sign_edges(alpha)
+    assert edges
     assert list(edges) == sorted(set(edges))
     assert all(0 < e < PHASE_STEPS for e in edges)
-    if -math.pi < alpha <= math.pi:
-        assert edges
     before = dichotomic_array(np.array([step_phase(e - 1) for e in edges]), alpha)
     at = dichotomic_array(np.array([step_phase(e) for e in edges]), alpha)
     assert (before != at).all()
+    # the scalar cosine reads one signal at both ends of every run
+    for first, last in zip((0, *edges), (*(e - 1 for e in edges), PHASE_STEPS - 1)):
+        assert dichotomic(step_phase(first), alpha) == dichotomic(step_phase(last), alpha)
+
+
+@pytest.mark.parametrize("alpha", [2.0**55, -math.pi, 4.0])
+def test_sign_edges_rejects_an_unwrapped_angle(alpha):
+    with pytest.raises(ValueError):
+        sign_edges(alpha)
 
 
 def test_sign_edges_give_the_exact_correlation_over_every_step():
     # each run of steps between edges holds one signal per angle, so the run
     # lengths weight the full-turn average without drawing a single phase
     special = [math.pi, -math.pi, math.pi / 2, -math.pi / 2, 1e-300, 0.3]
+    special = [wrap_angle(a) for a in special]  # as the kernel wraps them
     pairs = [(x, y) for x in special for y in special]
     pairs += np.random.default_rng(7).uniform(-math.pi, math.pi, size=(300, 2)).tolist()
     worst = 0.0
@@ -369,8 +364,7 @@ def test_kernel_evaluates_no_signal_per_trial(model, monkeypatch):
 
 
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=["iid", "oscillator"])
-@pytest.mark.parametrize("workers", [1, 3])
-def test_kernel_draws_its_phases_through_take(model, workers, monkeypatch):
+def test_kernel_draws_its_phases_through_take(model, monkeypatch):
     drawn = []
     reference = phase_module.phases_at
 
@@ -380,13 +374,12 @@ def test_kernel_draws_its_phases_through_take(model, workers, monkeypatch):
 
     monkeypatch.setattr(phase_module, "phases_at", counting)
     n = 3 * BLOCK_TRIALS + 5
-    estimate_correlation(make_phase_stream(model), 0.0, 0.7, n, workers=workers)
+    estimate_correlation(make_phase_stream(model), 0.0, 0.7, n)
     # the oscillator is counted in closed form and draws no phase at all
     assert sum(drawn) == (0 if model.kind == OSCILLATOR_ENSEMBLE else n)
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_iid_kernel_draws_the_serial_range_in_order(workers, monkeypatch):
+def test_iid_kernel_draws_the_serial_range_in_order(monkeypatch):
     drawn = []
     reference = phase_module.phases_at
 
@@ -399,7 +392,7 @@ def test_iid_kernel_draws_the_serial_range_in_order(workers, monkeypatch):
     stream = PhaseStream(PhaseModel(seed=31), start=start, stride=stride)
     stream.skip(cursor)
     n = 2 * BLOCK_TRIALS + 7
-    sign_product_sums(stream, ((0.0, 0.7),), n, workers=workers)
+    sign_product_sums(stream, ((0.0, 0.7),), n)
     assert drawn == [start + stride * (cursor + j) for j in range(n)]
 
 
@@ -458,12 +451,9 @@ def test_estimate_mean_is_average_of_unit_products():
 
 def test_kernel_rejects_bad_counts():
     stream = make_phase_stream(PhaseModel(seed=0))
-    for n, workers in [(0, 1), (10, 0), (10, MAX_WORKERS + 1)]:
-        with pytest.raises(ValueError):
-            sign_product_sums(stream, ((0.0, 1.0),), n, workers=workers)
+    with pytest.raises(ValueError):
+        sign_product_sums(stream, ((0.0, 1.0),), 0)
     assert stream.position == 0
-    serial = sign_product_sums(make_phase_stream(PhaseModel(seed=0)), ((0.0, 1.0),), 300)
-    assert sign_product_sums(stream, ((0.0, 1.0),), 300, workers=MAX_WORKERS) == serial
 
 
 def test_from_product_sum_validation():

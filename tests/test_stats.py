@@ -13,6 +13,7 @@ from phasebit import (
     analytic_correlation,
     chsh_classical,
     correlation_curve,
+    dichotomic_array,
     estimate_correlation,
     ks_uniformity,
     make_phase_stream,
@@ -48,13 +49,6 @@ def test_curve_rejects_empty_grid():
         correlation_curve(PhaseModel(seed=0), [], 100)
 
 
-def test_curve_workers_do_not_change_results():
-    deltas = [0.0, 0.4, 1.1, 2.8]
-    a = correlation_curve(PhaseModel(seed=9), deltas, 5003)
-    b = correlation_curve(PhaseModel(seed=9), deltas, 5003, workers=4)
-    assert a == b
-
-
 # ---------------------------------------------------------------- analytic S
 
 def test_analytic_chsh_canonical_angles():
@@ -82,11 +76,25 @@ def test_analytic_chsh_bound_over_random_quadruples():
 def test_chsh_classical_near_two_at_canonical_angles():
     result = chsh_classical(PhaseModel(seed=42), *CANONICAL, 100_000)
     assert abs(result.s_value - 2.0) <= 4 * result.s_stderr
-    # stored value and stderr recombine from the terms
+    # the stored value recombines from the terms
     e = [t.mean for t in result.terms]
     assert abs(result.s_value - (e[0] - e[1] + e[2] + e[3])) <= 1e-12
-    quad = math.sqrt(sum(t.stderr**2 for t in result.terms))
-    assert abs(result.s_stderr - quad) <= 1e-12
+    # every shared trial has S = +2 at these settings, so S does not scatter
+    assert result.s_stderr == 0.0
+
+
+def test_shared_trial_s_stderr_is_the_spread_of_the_per_trial_s():
+    angles = (0.3, 2.9, -1.2, 0.4)
+    model = PhaseModel(seed=20030101)
+    n = 70_001
+    result = chsh_classical(model, *angles, n)
+    _, phi = make_phase_stream(model).take(n)
+    a1, a2, b1, b2 = (dichotomic_array(phi, a).astype(np.int64) for a in angles)
+    per_trial = a1 * (b1 - b2) + a2 * (b1 + b2)
+    assert set(np.unique(per_trial).tolist()) == {-2, 2}
+    assert abs(result.s_stderr - per_trial.std() / math.sqrt(n)) <= 1e-12
+    # quadrature treats the four terms as independent and overstates the error
+    assert math.sqrt(sum(t.stderr**2 for t in result.terms)) > 2 * result.s_stderr
 
 
 def test_chsh_classical_matches_analytic_assembly():
@@ -103,22 +111,13 @@ def test_chsh_classical_independent_trials_mode():
         PhaseModel(seed=13), *CANONICAL, 50_000, shared_trials=False
     )
     assert abs(result.s_value - 2.0) <= 4 * result.s_stderr
-
-
-def test_chsh_classical_workers_do_not_change_results():
-    for shared in (True, False):
-        one = chsh_classical(PhaseModel(seed=21), *CANONICAL, 10_007, shared_trials=shared)
-        four = chsh_classical(
-            PhaseModel(seed=21), *CANONICAL, 10_007, shared_trials=shared, workers=4
-        )
-        assert one == four
+    quad = math.sqrt(sum(t.stderr**2 for t in result.terms))
+    assert abs(result.s_stderr - quad) <= 1e-12
 
 
 def test_chsh_classical_validation():
     with pytest.raises(ValueError):
         chsh_classical(PhaseModel(seed=0), *CANONICAL, 0)
-    with pytest.raises(ValueError):
-        chsh_classical(PhaseModel(seed=0), *CANONICAL, 10, workers=0)
 
 
 @pytest.mark.parametrize("kind", [IID_UNIFORM, OSCILLATOR_ENSEMBLE])
@@ -126,9 +125,7 @@ def test_chsh_classical_validation():
     "estimate",
     [
         lambda model, n: chsh_classical(model, *CANONICAL, n),
-        lambda model, n: estimate_correlation(
-            make_phase_stream(model), 0.0, 1.0, n, workers=3
-        ),
+        lambda model, n: estimate_correlation(make_phase_stream(model), 0.0, 1.0, n),
     ],
     ids=["chsh_classical", "estimate_correlation"],
 )
