@@ -248,10 +248,13 @@ def test_estimate_rejects_zero_samples():
         estimate_correlation(stream, 0.0, 1.0, 0)
 
 
+# one full block, one trial past it, and several blocks with a short tail
+@pytest.mark.parametrize(
+    "n", [BLOCK_TRIALS, BLOCK_TRIALS + 1, 3 * BLOCK_TRIALS + 5], ids=["1b", "1b+1", "3b+5"]
+)
 @pytest.mark.parametrize("kind", ["iid", "oscillator"])
-def test_kernel_sums_equal_one_take_across_block_boundaries(kind):
+def test_kernel_sums_equal_one_take_across_block_boundaries(kind, n):
     model = PhaseModel(kind=kind, seed=31)
-    n = 3 * BLOCK_TRIALS + 5
     pairs = ((0.0, 0.7), (0.7, 2.5), (0.0, 0.0), (-1.0, math.pi))
     stream = make_phase_stream(model)
     stream.skip(11)  # start mid-sequence, off any block boundary
@@ -363,8 +366,9 @@ def test_kernel_evaluates_no_signal_per_trial(model, monkeypatch):
     assert per_call[0] == per_call[1] > 0
 
 
+@pytest.mark.parametrize("n", [BLOCK_TRIALS, 3 * BLOCK_TRIALS + 5], ids=["1b", "3b+5"])
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=["iid", "oscillator"])
-def test_kernel_draws_its_phases_through_take(model, monkeypatch):
+def test_kernel_draws_its_phases_through_take(model, n, monkeypatch):
     drawn = []
     reference = phase_module.phases_at
 
@@ -373,13 +377,14 @@ def test_kernel_draws_its_phases_through_take(model, monkeypatch):
         return reference(m, trials)
 
     monkeypatch.setattr(phase_module, "phases_at", counting)
-    n = 3 * BLOCK_TRIALS + 5
     estimate_correlation(make_phase_stream(model), 0.0, 0.7, n)
     # the oscillator is counted in closed form and draws no phase at all
     assert sum(drawn) == (0 if model.kind == OSCILLATOR_ENSEMBLE else n)
+    assert all(0 < size <= BLOCK_TRIALS for size in drawn)  # memory stays one block
 
 
-def test_iid_kernel_draws_the_serial_range_in_order(monkeypatch):
+@pytest.mark.parametrize("n", [BLOCK_TRIALS, 2 * BLOCK_TRIALS + 7], ids=["1b", "2b+7"])
+def test_iid_kernel_draws_the_serial_range_in_order(n, monkeypatch):
     drawn = []
     reference = phase_module.phases_at
 
@@ -391,7 +396,6 @@ def test_iid_kernel_draws_the_serial_range_in_order(monkeypatch):
     start, stride, cursor = 5, 3, 17
     stream = PhaseStream(PhaseModel(seed=31), start=start, stride=stride)
     stream.skip(cursor)
-    n = 2 * BLOCK_TRIALS + 7
     sign_product_sums(stream, ((0.0, 0.7),), n)
     assert drawn == [start + stride * (cursor + j) for j in range(n)]
 
