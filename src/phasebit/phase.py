@@ -11,9 +11,15 @@ and share one conversion to radians:
 * ``oscillator``: the ensemble's rate sum as a uint64 fraction of a turn,
   times ``t + burn_in``; uint64 wraparound is the wrap to one turn, so the
   rotation is exact at every trial index and equidistributes on the circle.
-  Its turns along a stream form an arithmetic progression mod ``2**64``,
-  so :func:`oscillator_steps_below` counts trials below a step in closed
-  form without generating a phase.
+
+A phase is ``k / PHASE_STEPS`` of a turn, where the step ``k`` is the top 53
+bits of its uint64 turns, so a trial's step is below ``e`` exactly when its
+turns are below ``e << 11``.  :func:`steps_below` counts a stream's trials
+below given steps in that integer domain, for both models: the ``iid``
+count hashes each block of ``BLOCK_TRIALS`` counters in buffers reused
+across blocks and compares the turns, converting none to radians; the
+``oscillator``'s turns along a stream form an arithmetic progression mod
+``2**64``, so its count is a closed form and generates no turn at all.
 
 Because a phase is a pure function of ``(model, trial index)``, streams are
 reproducible bit-for-bit across runs and platforms, and leapfrog substreams
@@ -45,6 +51,7 @@ _MAX_ENSEMBLE = 2**20
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_SHIFT30, _SHIFT27, _SHIFT31 = np.uint64(30), np.uint64(27), np.uint64(31)
 # xor tag keeping the oscillator frequency draw off the phase counter space
 _FREQ_TAG = 0xB5AD4ECEDA1CE2A9
 
@@ -53,6 +60,8 @@ PHASE_STEPS = 2**53
 _TURN = 2**64
 _STEP_SHIFT = np.uint64(64 - 53)
 _INV_2POW53 = 1.0 / PHASE_STEPS
+# Trials per array pass; bounds memory at O(block) without changing a count.
+BLOCK_TRIALS = 1 << 16
 # 2*pi / 2**53 is exact, so k * _STEP_RADIANS rounds as (k / 2**53) * 2*pi does
 _STEP_RADIANS = _INV_2POW53 * TWO_PI
 
@@ -75,20 +84,29 @@ def wrap_angle(x: float) -> float:
     return r
 
 
+def _mix(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Stafford's mix13, splitmix64's finalizer, in place on uint64 ``z``; returns ``z``.
+
+    ``scratch`` is a uint64 buffer of ``z``'s shape.  Every operand is a
+    uint64, so legacy (pre-NEP 50) promotion keeps each pass in uint64 too.
+    """
+    np.right_shift(z, _SHIFT30, out=scratch)
+    z ^= scratch
+    z *= _MIX1
+    np.right_shift(z, _SHIFT27, out=scratch)
+    z ^= scratch
+    z *= _MIX2
+    np.right_shift(z, _SHIFT31, out=scratch)
+    z ^= scratch
+    return z
+
+
 def _hash64(seed: int, counters: np.ndarray) -> np.ndarray:
     """splitmix64 of each counter: uniform uint64 turns addressed by index."""
     # (t + 1)*GAMMA + seed == t*GAMMA + (GAMMA + seed) mod 2**64, in two passes
     z = np.asarray(counters, dtype=np.int64).view(np.uint64) * _GAMMA
     z += np.uint64((int(_GAMMA) + seed) % _TURN)
-    shifted = np.right_shift(z, np.uint64(30))
-    z ^= shifted
-    z *= _MIX1
-    np.right_shift(z, np.uint64(27), out=shifted)
-    z ^= shifted
-    z *= _MIX2
-    np.right_shift(z, np.uint64(31), out=shifted)
-    z ^= shifted
-    return z
+    return _mix(z, np.empty_like(z))
 
 
 def _steps(turns: np.ndarray) -> np.ndarray:
@@ -205,15 +223,20 @@ class PhaseStream:
 
     def take(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw the next ``count`` samples as ``(trial_indices, phases)`` arrays."""
+        first = self._window(count)
+        t = np.arange(first, first + self.stride * count, self.stride, dtype=np.int64)
+        phi = phases_at(self.model, t)
+        self._cursor += count
+        return t, phi
+
+    def _window(self, count: int) -> int:
+        """The first trial index of the next ``count`` draws, once all of them are checked."""
         if count < 0:
             raise ValueError("count must be >= 0")
         first = self.start + self.stride * self._cursor
         if count and first + self.stride * (count - 1) >= 2**63:
             raise ValueError("trial indices must stay below 2**63")
-        t = np.arange(first, first + self.stride * count, self.stride, dtype=np.int64)
-        phi = phases_at(self.model, t)
-        self._cursor += count
-        return t, phi
+        return first
 
     def skip(self, count: int) -> None:
         """Advance the cursor without materializing samples."""
@@ -249,32 +272,71 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
         m, a = a, m
 
 
-def oscillator_steps_below(stream: PhaseStream, n: int, steps: Sequence[int]) -> list[int]:
-    """How many of the stream's next ``n`` oscillator trials have a step below each of ``steps``.
+def steps_below(stream: PhaseStream, n: int, steps: Sequence[int]) -> list[int]:
+    """How many of the stream's next ``n`` trials have a step below each of ``steps``.
 
-    Trial ``j`` of them has turns ``(a*j + b) mod 2**64``, with
-    ``a = R*stride`` and ``b = R*(start + stride*position + burn_in)``, as
-    :func:`phases_at` computes them.  Its step is below ``e`` exactly when
-    ``x = a*j + b`` has ``x mod 2**64 < e << 11``, and for ``0 <= c <= M``,
-    ``floor((x + M - c) / M) - floor(x / M)`` is 1 exactly when
-    ``x mod M >= c``; two :func:`floor_sum` calls count those trials.  No
-    phase is generated and the cursor does not move.
+    A trial's step is below ``e`` exactly when its uint64 turns are below
+    ``e << 11``, so both models count turns and convert none to radians.
+    ``PHASE_STEPS << 11`` is ``2**64``, above every turn, so that step counts
+    all ``n`` trials.  The window and the steps are checked before any work:
+    trial indices that would reach ``2**63`` raise ``ValueError``, as in
+    :meth:`PhaseStream.take`.  The cursor does not move.
     """
-    if stream.model.kind != OSCILLATOR_ENSEMBLE:
-        raise ValueError("oscillator_steps_below only applies to the oscillator model")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    r = _rate_turns(stream.model)
-    a = r * stream.stride % _TURN
-    b = r * (stream.start + stream.stride * stream.position + stream.model.burn_in) % _TURN
-    base = floor_sum(n, _TURN, a, b)
-    below = []
+    first = stream._window(n)
+    limits = []
     for step in steps:
         if not 0 <= step <= PHASE_STEPS:
             raise ValueError(f"step {step} outside 0..{PHASE_STEPS}")
-        c = step << int(_STEP_SHIFT)
-        below.append(n - (floor_sum(n, _TURN, a, b + _TURN - c) - base))
+        limits.append(step << int(_STEP_SHIFT))
+    if stream.model.kind == OSCILLATOR_ENSEMBLE:
+        return _oscillator_turns_below(stream.model, first, stream.stride, n, limits)
+    return _iid_turns_below(stream.model, first, stream.stride, n, limits)
+
+
+def _iid_turns_below(
+    model: PhaseModel, first: int, stride: int, n: int, limits: list[int]
+) -> list[int]:
+    """Trials ``first + stride*j``, ``j < n``, whose splitmix64 turns are below each limit.
+
+    Trial ``t`` hashes ``(t + 1)*GAMMA + seed``, which for ``t = first +
+    stride*(done + j)`` is the block's offset plus ``j*(stride*GAMMA)`` mod
+    ``2**64``.  So the ramp ``j*(stride*GAMMA)`` is built once, and each block
+    of ``BLOCK_TRIALS`` trials is one add, :func:`_mix` and one compare per
+    limit, all in buffers allocated once per call.
+    """
+    below = [n if c == _TURN else 0 for c in limits]
+    compared = [(i, np.uint64(c)) for i, c in enumerate(limits) if c < _TURN]
+    gamma = int(_GAMMA)
+    ramp = np.arange(min(n, BLOCK_TRIALS), dtype=np.uint64)
+    ramp *= np.uint64(stride * gamma % _TURN)
+    z, scratch = np.empty_like(ramp), np.empty_like(ramp)
+    mask = np.empty(ramp.shape, dtype=bool)
+    for done in range(0, n, BLOCK_TRIALS):
+        size = min(BLOCK_TRIALS, n - done)
+        offset = np.uint64(((first + stride * done + 1) * gamma + model.seed) % _TURN)
+        turns = _mix(np.add(ramp[:size], offset, out=z[:size]), scratch[:size])
+        for i, c in compared:
+            below[i] += int(np.count_nonzero(np.less(turns, c, out=mask[:size])))
     return below
+
+
+def _oscillator_turns_below(
+    model: PhaseModel, first: int, stride: int, n: int, limits: list[int]
+) -> list[int]:
+    """Trials ``first + stride*j``, ``j < n``, whose oscillator turns are below each limit.
+
+    Trial ``j`` has turns ``(a*j + b) mod 2**64``, with ``a = R*stride`` and
+    ``b = R*(first + burn_in)``, as :func:`phases_at` computes them.  For
+    ``x = a*j + b`` and ``0 <= c <= M``, ``floor((x + M - c) / M) -
+    floor(x / M)`` is 1 exactly when ``x mod M >= c``, so two
+    :func:`floor_sum` calls count each limit's trials and no phase is
+    generated, at any ``n``.
+    """
+    r = _rate_turns(model)
+    a = r * stride % _TURN
+    b = r * (first + model.burn_in) % _TURN
+    base = floor_sum(n, _TURN, a, b)
+    return [n - (floor_sum(n, _TURN, a, b + _TURN - c) - base) for c in limits]
 
 
 def make_phase_stream(model: PhaseModel) -> PhaseStream:

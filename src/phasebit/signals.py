@@ -18,18 +18,14 @@ The estimator evaluates no cosine per trial.  A phase is one of
 ``PHASE_STEPS`` steps of a turn, and the signal at a fixed angle is constant
 on a few whole runs of steps.  The phase plus the angle never decreases as
 the step grows, so each run starts at the first step whose sum reaches one
-of ``COS_SIGN_EDGES``, found once per angle by bisecting on the step.  The
-step before holds a smaller sum, hence a smaller phase, so a trial's step
-lies below such an edge exactly when its phase lies below the edge step's
-phase.  For the ``iid`` model each block of phases drawn with
-:meth:`PhaseStream.take` then only counts how many fall below each edge's
-phase.  The ``oscillator``'s turns are an arithmetic progression mod
-``2**64``, so its count of steps below each edge is a closed-form floor sum
-(:func:`~phasebit.phase.oscillator_steps_below`) and no phase is generated,
-at any trial count.  The signal on each run is read from
-:func:`dichotomic_array` at the run's first phase.  Counts and ``+-1``
-product sums are integers, so the result does not depend on the blocking or
-the counting method.
+of ``COS_SIGN_EDGES``, found once per angle by bisecting on the step.  A
+trial's step is below edge ``e`` exactly when its uint64 turns are below
+``e << 11``, so :func:`~phasebit.phase.steps_below` counts the trials below
+each edge in turns, for both models: in blocks of hashed counters for
+``iid``, in closed form for the ``oscillator``, at any trial count.  The
+signal on each run is read from :func:`dichotomic_array` at the run's first
+phase.  Counts and ``+-1`` product sums are integers, so the result does not
+depend on the blocking or the counting method.
 """
 
 from __future__ import annotations
@@ -41,18 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase import (
-    OSCILLATOR_ENSEMBLE,
-    PHASE_STEPS,
-    PhaseStream,
-    oscillator_steps_below,
-    step_phase,
-    wrap_angle,
-)
+from .phase import PHASE_STEPS, PhaseStream, step_phase, steps_below, wrap_angle
+from .phase import BLOCK_TRIALS  # re-exported: register and the tests import it from here
 from .phase import chunk_quota, substream  # unused here; bench/layer_trace.py wraps them by these names
 
-# Trials per array pass; bounds memory at O(block) without changing a sum.
-BLOCK_TRIALS = 1 << 16
 # The floats at which the cosine's sign differs from the float just below,
 # near -pi/2, pi/2, 3pi/2 and 5pi/2: the only ones in COS_SIGN_RANGE.  The
 # cosine there is about 1e-16 from 0, far above a faithful cosine's error.
@@ -149,15 +137,14 @@ def sign_product_sums(
 
     Angles are wrapped to ``(-pi, pi]`` first.  The union of the angles'
     :func:`sign_edges` cuts the steps into runs on which every signal is
-    constant.  For the ``iid`` model one serial loop draws the trials in
-    blocks of ``BLOCK_TRIALS`` and counts the phases below each edge's
-    :func:`step_phase`, which is exactly the count of steps below the edge.
-    For the ``oscillator`` the counts come in closed form from
-    :func:`~phasebit.phase.oscillator_steps_below`, in O(log) big-integer
-    steps per edge and no phase drawn.  One :func:`dichotomic_array` call
-    per angle on the runs' first phases gives the signals, and each sum is
-    the run counts weighted by ``s(x) * s(y)``.  Integer counts make the
-    result independent of the blocking and the counting method.  The
+    constant, and :func:`~phasebit.phase.steps_below` counts the trials
+    below each edge: blocks of ``BLOCK_TRIALS`` hashed counters for ``iid``,
+    O(log) big-integer steps per edge for the ``oscillator``.  One
+    :func:`dichotomic_array` call per angle on the runs' first phases gives
+    the signals, and each sum is the run counts weighted by
+    ``s(x) * s(y)``.  Integer counts make the result independent of the
+    blocking and the counting method.  A window whose trial indices would
+    reach ``2**63`` raises ``ValueError`` before any work.  The
     stream's cursor advances by ``n``.
     """
     if n < 1:
@@ -165,20 +152,10 @@ def sign_product_sums(
     pairs = [(wrap_angle(x), wrap_angle(y)) for x, y in pairs]
     angles = dict.fromkeys(a for pair in pairs for a in pair)
     edges = sorted(set().union(*(sign_edges(a) for a in angles)))
-    bounds = [step_phase(k) for k in edges]
-    if stream.model.kind == OSCILLATOR_ENSEMBLE:
-        below = oscillator_steps_below(stream, n, edges)
-        stream.skip(n)
-    else:
-        below = [0] * len(bounds)
-        end = stream.position + n
-        while stream.position < end:
-            # no `del phi`: freeing each block lets glibc trim the heap and fault it back in
-            phi = stream.take(min(BLOCK_TRIALS, end - stream.position))[1]
-            for j, bound in enumerate(bounds):
-                below[j] += int(np.count_nonzero(phi < bound))
+    below = steps_below(stream, n, edges)
+    stream.skip(n)
     runs = np.diff(np.array([0, *below, n], dtype=np.int64))
-    first_phases = np.array([0.0, *bounds])
+    first_phases = np.array([0.0, *(step_phase(k) for k in edges)])
     signs = {a: dichotomic_array(first_phases, a).astype(np.int64) for a in angles}
     return [int((runs * signs[x] * signs[y]).sum()) for x, y in pairs]
 

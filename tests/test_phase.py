@@ -18,7 +18,7 @@ from phasebit import (
     wrap_angle,
 )
 from phasebit import phase as phase_module
-from phasebit.phase import PHASE_STEPS, floor_sum, oscillator_steps_below
+from phasebit.phase import PHASE_STEPS, floor_sum, step_phase, steps_below
 from phasebit.signals import BLOCK_TRIALS, sign_edges, sign_product_sums
 from phasebit.stats import ks_uniformity
 
@@ -194,6 +194,10 @@ def test_floor_sum_equals_brute_force():
                     assert floor_sum(n, m, a, b) == expected, (n, m, a, b)
 
 
+BOTH_MODELS = [
+    PhaseModel(seed=31),
+    PhaseModel(kind=OSCILLATOR_ENSEMBLE, seed=31, burn_in=2**62 + 12345),
+]
 OSCILLATOR_EDGES = sorted(
     {0, 1, 2, 2**52, PHASE_STEPS - 1, PHASE_STEPS}
     | {e for alpha in (0.0, 0.7, -1.0, math.pi, wrap_angle(1e16)) for e in sign_edges(alpha)}
@@ -202,25 +206,70 @@ OSCILLATOR_EDGES = sorted(
 
 @pytest.mark.parametrize("burn_in", [0, 2**62 + 12345, 2**64 + 5])
 @pytest.mark.parametrize("stride,chunk", [(1, 0), (4, 3), (51, 50)])
-@pytest.mark.parametrize("cursor", [0, 2**62 - 3])
+@pytest.mark.parametrize("cursor", [0, "last"])
 @pytest.mark.parametrize("n", [1, 2, 1000])
 def test_oscillator_steps_below_match_a_big_int_enumeration(burn_in, stride, chunk, cursor, n):
     model = PhaseModel(kind=OSCILLATOR_ENSEMBLE, seed=13, burn_in=burn_in)
     # the summed angular rate as a 64-bit fraction of a turn
     r = int(math.ldexp(math.fsum(ensemble_frequencies(model).tolist()) / TWO_PI % 1.0, 64))
+    if cursor == "last":  # the furthest cursor whose n trials stay below 2**63
+        cursor = (2**63 - 1 - chunk) // stride - (n - 1)
     stream = substream(make_phase_stream(model), chunk, stride)
     stream.skip(cursor)
     steps = [
         (r * (chunk + stride * (cursor + j) + burn_in)) % 2**64 >> 11 for j in range(n)
     ]
     expected = [sum(k < e for k in steps) for e in OSCILLATOR_EDGES]
-    assert oscillator_steps_below(stream, n, OSCILLATOR_EDGES) == expected
+    assert steps_below(stream, n, OSCILLATOR_EDGES) == expected
     assert stream.position == cursor
 
 
-def test_oscillator_steps_below_rejects_the_iid_model():
+@pytest.mark.parametrize("n", [1, BLOCK_TRIALS, BLOCK_TRIALS + 1])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("stride", [1, 17])
+@pytest.mark.parametrize("at_end", [False, True], ids=["start3", "ends-at-2^63-1"])
+def test_iid_steps_below_equal_the_step_counts_of_phases_at(at_end, stride, seed, n):
+    cursor = 12345  # not on a block boundary
+    start = 2**63 - 1 - stride * (cursor + n - 1) if at_end else 3
+    stream = PhaseStream(PhaseModel(seed=seed), start=start, stride=stride)
+    stream.skip(cursor)
+    # steps 0 and PHASE_STEPS count no trial and every trial; PHASE_STEPS << 11 is 2**64
+    edges = {e for alpha in (0.0, 0.7, -1.0, math.pi) for e in sign_edges(alpha)}
+    steps = sorted({0, PHASE_STEPS} | edges)
+    below = steps_below(stream, n, steps)
+    assert stream.position == cursor
+    t, phi = stream.take(n)
+    assert t[-1] == (2**63 - 1 if at_end else start + stride * (cursor + n - 1))
+    # a sign edge's step is the first to reach the edge, so the phase of the step
+    # before is smaller and "step below e" is "phase below step_phase(e)"
+    assert below == [int(np.count_nonzero(phi < step_phase(e))) for e in steps]
+    assert below[0] == 0 and below[-1] == n
+
+
+@pytest.mark.parametrize("model", BOTH_MODELS, ids=["iid", "oscillator"])
+def test_steps_below_refuses_a_window_past_2pow63_before_any_work(model, monkeypatch):
+    if model.kind == OSCILLATOR_ENSEMBLE:
+        phase_module._rate_turns(model)  # its one-off rate draw hashes too
+    mixed = []
+    monkeypatch.setattr(phase_module, "_mix", lambda z, scratch: mixed.append(len(z)))
+    # the first block's trials are valid; the window's last trial is past 2**63
+    stream = PhaseStream(model, start=2**63 - BLOCK_TRIALS - 10)
     with pytest.raises(ValueError):
-        oscillator_steps_below(make_phase_stream(PhaseModel(seed=1)), 10, [1])
+        steps_below(stream, 2 * BLOCK_TRIALS, [1, 2**52])
+    with pytest.raises(ValueError):
+        sign_product_sums(stream, ((0.0, 1.0),), 2 * BLOCK_TRIALS)
+    assert stream.position == 0
+    assert mixed == []
+
+
+@pytest.mark.parametrize("model", BOTH_MODELS, ids=["iid", "oscillator"])
+def test_steps_below_rejects_bad_steps_and_counts(model):
+    stream = make_phase_stream(model)
+    for n, steps in ((-1, [1]), (10, [-1]), (10, [PHASE_STEPS + 1]), (10, [1, PHASE_STEPS + 1])):
+        with pytest.raises(ValueError):
+            steps_below(stream, n, steps)
+    assert steps_below(stream, 0, [0, 1, PHASE_STEPS]) == [0, 0, 0]
+    assert stream.position == 0
 
 
 def test_oscillator_phases_stay_distinct_past_2pow53():
@@ -248,6 +297,16 @@ def _splitmix64(seed, counter):
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
     return z ^ (z >> 31)
+
+
+def test_mix_keeps_the_dtype_and_buffer_of_its_input():
+    # uint64 operands throughout, so no promotion rule can move a pass to float64
+    counters = (0, 1, 2**62 + 12345, 2**63 - 1)
+    z = np.array([(c + 1) * 0x9E3779B97F4A7C15 % 2**64 for c in counters], dtype=np.uint64)
+    data = z.ctypes.data
+    out = phase_module._mix(z, np.empty_like(z))
+    assert out is z and out.dtype == np.uint64 and out.ctypes.data == data
+    assert out.tolist() == [_splitmix64(0, c) for c in counters]
 
 
 @pytest.mark.parametrize(

@@ -366,38 +366,48 @@ def test_kernel_evaluates_no_signal_per_trial(model, monkeypatch):
     assert per_call[0] == per_call[1] > 0
 
 
+GAMMA = 0x9E3779B97F4A7C15
+GAMMA_INVERSE = pow(GAMMA, -1, 2**64)  # GAMMA is odd, so it is invertible mod 2**64
+
+
+def record_hashed_trials(monkeypatch, seed):
+    """Spy on ``phase._mix``: per call, the trial indices whose counters it mixes.
+
+    splitmix64 mixes ``(t + 1)*GAMMA + seed`` for trial ``t``, so ``t`` is
+    recovered exactly.
+    """
+    calls = []
+    reference = phase_module._mix
+
+    def recording(z, scratch):
+        calls.append([((c - seed) * GAMMA_INVERSE - 1) % 2**64 for c in z.tolist()])
+        return reference(z, scratch)
+
+    monkeypatch.setattr(phase_module, "_mix", recording)
+    return calls
+
+
 @pytest.mark.parametrize("n", [BLOCK_TRIALS, 3 * BLOCK_TRIALS + 5], ids=["1b", "3b+5"])
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=["iid", "oscillator"])
 def test_kernel_draws_its_phases_through_take(model, n, monkeypatch):
-    drawn = []
-    reference = phase_module.phases_at
-
-    def counting(m, trials):
-        drawn.append(len(trials))
-        return reference(m, trials)
-
-    monkeypatch.setattr(phase_module, "phases_at", counting)
+    if model.kind == OSCILLATOR_ENSEMBLE:
+        phase_module._rate_turns(model)  # its one-off rate draw hashes too
+    hashed = record_hashed_trials(monkeypatch, model.seed)
     estimate_correlation(make_phase_stream(model), 0.0, 0.7, n)
-    # the oscillator is counted in closed form and draws no phase at all
-    assert sum(drawn) == (0 if model.kind == OSCILLATOR_ENSEMBLE else n)
-    assert all(0 < size <= BLOCK_TRIALS for size in drawn)  # memory stays one block
+    # the oscillator is counted in closed form and hashes no trial at all
+    assert sum(map(len, hashed)) == (0 if model.kind == OSCILLATOR_ENSEMBLE else n)
+    assert all(0 < len(trials) <= BLOCK_TRIALS for trials in hashed)  # memory stays one block
 
 
 @pytest.mark.parametrize("n", [BLOCK_TRIALS, 2 * BLOCK_TRIALS + 7], ids=["1b", "2b+7"])
 def test_iid_kernel_draws_the_serial_range_in_order(n, monkeypatch):
-    drawn = []
-    reference = phase_module.phases_at
-
-    def recording(m, trials):
-        drawn.extend(np.asarray(trials).tolist())
-        return reference(m, trials)
-
-    monkeypatch.setattr(phase_module, "phases_at", recording)
+    hashed = record_hashed_trials(monkeypatch, seed=31)
     start, stride, cursor = 5, 3, 17
     stream = PhaseStream(PhaseModel(seed=31), start=start, stride=stride)
     stream.skip(cursor)
     sign_product_sums(stream, ((0.0, 0.7),), n)
-    assert drawn == [start + stride * (cursor + j) for j in range(n)]
+    in_order = [t for trials in hashed for t in trials]
+    assert in_order == [start + stride * (cursor + j) for j in range(n)]
 
 
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=["iid", "oscillator"])
