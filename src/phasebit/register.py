@@ -20,8 +20,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .phase import PhaseStream, wrap_angle
-from .signals import BLOCK_TRIALS, dichotomic_array
+from .phase import BLOCK_TRIALS, PhaseStream, wrap_angle
+from .signals import dichotomic_array
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phase import PHASE_STEPS, PhaseStream, step_phase, steps_below, wrap_angle
-from .phase import BLOCK_TRIALS  # re-exported: register and the tests import it from here
 from .phase import chunk_quota, substream  # unused here; bench/layer_trace.py wraps them by these names
 
 # The floats at which the cosine's sign differs from the float just below,

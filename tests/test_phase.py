@@ -18,8 +18,8 @@ from phasebit import (
     wrap_angle,
 )
 from phasebit import phase as phase_module
-from phasebit.phase import PHASE_STEPS, floor_sum, step_phase, steps_below
-from phasebit.signals import BLOCK_TRIALS, sign_edges, sign_product_sums
+from phasebit.phase import BLOCK_TRIALS, PHASE_STEPS, floor_sum, step_phase, steps_below
+from phasebit.signals import sign_edges, sign_product_sums
 from phasebit.stats import ks_uniformity
 
 
@@ -208,7 +208,7 @@ OSCILLATOR_EDGES = sorted(
 @pytest.mark.parametrize("stride,chunk", [(1, 0), (4, 3), (51, 50)])
 @pytest.mark.parametrize("cursor", [0, "last"])
 @pytest.mark.parametrize("n", [1, 2, 1000])
-def test_oscillator_steps_below_match_a_big_int_enumeration(burn_in, stride, chunk, cursor, n):
+def test_steps_below_oscillator_match_a_big_int_enumeration(burn_in, stride, chunk, cursor, n):
     model = PhaseModel(kind=OSCILLATOR_ENSEMBLE, seed=13, burn_in=burn_in)
     # the summed angular rate as a 64-bit fraction of a turn
     r = int(math.ldexp(math.fsum(ensemble_frequencies(model).tolist()) / TWO_PI % 1.0, 64))
@@ -219,6 +219,18 @@ def test_oscillator_steps_below_match_a_big_int_enumeration(burn_in, stride, chu
     steps = [
         (r * (chunk + stride * (cursor + j) + burn_in)) % 2**64 >> 11 for j in range(n)
     ]
+    expected = [sum(k < e for k in steps) for e in OSCILLATOR_EDGES]
+    assert steps_below(stream, n, OSCILLATOR_EDGES) == expected
+    assert stream.position == cursor
+
+
+@pytest.mark.parametrize("seed", [0, 13, 2**64 - 1])
+def test_steps_below_iid_match_a_big_int_splitmix64_enumeration(seed):
+    # an iid stream is counted by its hashes, not by the oscillator's closed form
+    start, stride, cursor, n = 7, 5, 3, 200
+    stream = PhaseStream(PhaseModel(seed=seed), start=start, stride=stride)
+    stream.skip(cursor)
+    steps = [_splitmix64(seed, start + stride * (cursor + j)) >> 11 for j in range(n)]
     expected = [sum(k < e for k in steps) for e in OSCILLATOR_EDGES]
     assert steps_below(stream, n, OSCILLATOR_EDGES) == expected
     assert stream.position == cursor

@@ -18,8 +18,8 @@ from phasebit import (
     initialize,
     make_phase_stream,
 )
+from phasebit.phase import BLOCK_TRIALS
 from phasebit.register import _trial_bits
-from phasebit.signals import BLOCK_TRIALS
 
 
 def fresh_register(qubits, seed=42, signal_index=0):

@@ -18,8 +18,8 @@ from phasebit import (
 )
 from phasebit import phase as phase_module
 from phasebit import signals
-from phasebit.phase import OSCILLATOR_ENSEMBLE, PHASE_STEPS, PhaseStream, step_phase
-from phasebit.signals import BLOCK_TRIALS, sign_edges, sign_product_sums
+from phasebit.phase import BLOCK_TRIALS, OSCILLATOR_ENSEMBLE, PHASE_STEPS, PhaseStream, step_phase
+from phasebit.signals import sign_edges, sign_product_sums
 
 
 def agreement_probability_quadrature(delta, n=2_000_001):
@@ -389,7 +389,7 @@ def record_hashed_trials(monkeypatch, seed):
 
 @pytest.mark.parametrize("n", [BLOCK_TRIALS, 3 * BLOCK_TRIALS + 5], ids=["1b", "3b+5"])
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=["iid", "oscillator"])
-def test_kernel_draws_its_phases_through_take(model, n, monkeypatch):
+def test_kernel_hashes_each_trial_once_per_block(model, n, monkeypatch):
     if model.kind == OSCILLATOR_ENSEMBLE:
         phase_module._rate_turns(model)  # its one-off rate draw hashes too
     hashed = record_hashed_trials(monkeypatch, model.seed)
