@@ -8,19 +8,29 @@ from closed forms, so the closed forms (``E = -cos(a - b)``, CHSH up to
 
 Basis convention: qubit 0 is the most significant bit of the amplitude
 index, so for two qubits the order is ``|00>, |01>, |10>, |11>``.
+
+The two-qubit singlet correlations, which ``chsh`` and ``compare`` use, are
+evaluated on Python complex numbers with the operations numpy's
+``np.vdot(psi, np.kron(A, B) @ psi)`` performs, in its order, and give the
+same floats without importing numpy.  The n-qubit states and gates import
+numpy when called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _MAX_QUBITS = 10
 _NORM_TOL = 1e-12
 
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# (|01> - |10>) / sqrt2, the amplitudes of singlet_state()
+_SINGLET = (0j, complex(_INV_SQRT2), complex(-_INV_SQRT2), 0j)
 
 
 @dataclass(frozen=True)
@@ -31,6 +41,8 @@ class QuantumState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         if not 1 <= int(self.n_qubits) <= _MAX_QUBITS:
             raise ValueError(f"n_qubits must be in 1..{_MAX_QUBITS}")
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
@@ -47,6 +59,8 @@ class QuantumState:
 
 def basis_state(n_qubits: int, index: int) -> QuantumState:
     """Computational basis state with the given amplitude index."""
+    import numpy as np
+
     if not 1 <= n_qubits <= _MAX_QUBITS:
         raise ValueError(f"n_qubits must be in 1..{_MAX_QUBITS}")
     dim = 2**n_qubits
@@ -64,9 +78,12 @@ def _check_qubit(state: QuantumState, index: int, name: str) -> None:
 
 def apply_hadamard(state: QuantumState, target: int) -> QuantumState:
     """Apply the unitary Hadamard ``(1/sqrt2) [[1, 1], [1, -1]]`` to one qubit."""
+    import numpy as np
+
     _check_qubit(state, target, "target")
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
     psi = state.amplitudes.reshape([2] * state.n_qubits)
-    psi = np.tensordot(_HADAMARD, psi, axes=([1], [target]))
+    psi = np.tensordot(hadamard, psi, axes=([1], [target]))
     psi = np.moveaxis(psi, 0, target)
     return QuantumState(state.n_qubits, psi.reshape(-1))
 
@@ -91,31 +108,46 @@ def apply_cnot(state: QuantumState, control: int, target: int) -> QuantumState:
     return QuantumState(state.n_qubits, psi.reshape(-1))
 
 
+def _spin_rows(theta: float) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """The rows of :func:`observable` as Python complex numbers."""
+    c, s = complex(math.cos(theta)), complex(math.sin(theta))
+    return ((c, s), (s, -c))
+
+
 def observable(theta: float) -> np.ndarray:
     """Spin observable ``cos(theta) Z + sin(theta) X`` for one qubit.
 
     Hermitian with eigenvalues ``+-1``; ``theta = 0`` measures Z,
     ``theta = pi/2`` measures X.
     """
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, s], [s, -c]], dtype=complex)
+    import numpy as np
+
+    return np.array(_spin_rows(theta), dtype=complex)
 
 
 def singlet_state() -> QuantumState:
     """The two-qubit singlet ``(|01> - |10>) / sqrt2``."""
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    return QuantumState(2, np.array([0.0, inv_sqrt2, -inv_sqrt2, 0.0], dtype=complex))
+    import numpy as np
+
+    return QuantumState(2, np.array(_SINGLET, dtype=complex))
 
 
 def singlet_correlation(a: float, b: float) -> float:
     """Joint ``+-1`` expectation on the singlet for settings ``a`` and ``b``.
 
     Evaluated as ``<psi| A(a) (x) B(b) |psi>`` on the explicit singlet
-    vector.
+    vector: entry ``(i, j)`` of ``A (x) B`` is ``A[i >> 1][j >> 1] *
+    B[i & 1][j & 1]``, and both sums run in index order, in complex
+    arithmetic, as numpy's ``kron``, ``@`` and ``vdot`` compute them.
     """
-    psi = singlet_state().amplitudes
-    op = np.kron(observable(a), observable(b))
-    return float(np.real(np.vdot(psi, op @ psi)))
+    rows_a, rows_b = _spin_rows(a), _spin_rows(b)
+    total = 0j
+    for i in range(4):
+        op_psi = 0j
+        for j in range(4):
+            op_psi += rows_a[i >> 1][j >> 1] * rows_b[i & 1][j & 1] * _SINGLET[j]
+        total += _SINGLET[i].conjugate() * op_psi
+    return total.real
 
 
 def chsh_quantum(a1: float, a2: float, b1: float, b2: float) -> float:

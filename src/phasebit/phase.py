@@ -26,16 +26,24 @@ reproducible bit-for-bit across runs and platforms, and leapfrog substreams
 partition the serial sequence exactly.  That is what lets each curve point
 and each independent CHSH correlator draw its own trials from one seed;
 each of them counts its trials in one serial pass.
+
+numpy is imported only by the functions that build arrays: the ``iid``
+count, :func:`phases_at`, :meth:`PhaseStream.take` and
+:func:`ensemble_frequencies`.  The oscillator's rate sum is hashed in Python
+ints up to ``_PY_RATES_MAX`` rates, so an oscillator count runs without
+numpy at the default ensemble size.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -48,22 +56,24 @@ _MAX_SEED = 2**64 - 1
 _MAX_ENSEMBLE = 2**20
 
 # splitmix64: golden-gamma counter increment + Stafford mix13 finalizer.
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_SHIFT30, _SHIFT27, _SHIFT31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 # xor tag keeping the oscillator frequency draw off the phase counter space
 _FREQ_TAG = 0xB5AD4ECEDA1CE2A9
 
 # A phase is ``k / PHASE_STEPS`` of a turn; its step ``k`` is the top 53 bits of its uint64 turns.
 PHASE_STEPS = 2**53
 _TURN = 2**64
-_STEP_SHIFT = np.uint64(64 - 53)
+_STEP_SHIFT = 64 - 53
 _INV_2POW53 = 1.0 / PHASE_STEPS
 # Trials per array pass; bounds memory at O(block) without changing a count.
 BLOCK_TRIALS = 1 << 16
 # 2*pi / 2**53 is exact, so k * _STEP_RADIANS rounds as (k / 2**53) * 2*pi does
 _STEP_RADIANS = _INV_2POW53 * TWO_PI
+# Up to this many rates, hashing them in Python ints (about 4 ms for 4096)
+# costs less than importing numpy; above it numpy hashes them.
+_PY_RATES_MAX = 4096
 
 
 def wrap_angle(x: float) -> float:
@@ -90,28 +100,42 @@ def _mix(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     ``scratch`` is a uint64 buffer of ``z``'s shape.  Every operand is a
     uint64, so legacy (pre-NEP 50) promotion keeps each pass in uint64 too.
     """
-    np.right_shift(z, _SHIFT30, out=scratch)
+    import numpy as np
+
+    np.right_shift(z, np.uint64(30), out=scratch)
     z ^= scratch
-    z *= _MIX1
-    np.right_shift(z, _SHIFT27, out=scratch)
+    z *= np.uint64(_MIX1)
+    np.right_shift(z, np.uint64(27), out=scratch)
     z ^= scratch
-    z *= _MIX2
-    np.right_shift(z, _SHIFT31, out=scratch)
+    z *= np.uint64(_MIX2)
+    np.right_shift(z, np.uint64(31), out=scratch)
     z ^= scratch
     return z
 
 
 def _hash64(seed: int, counters: np.ndarray) -> np.ndarray:
     """splitmix64 of each counter: uniform uint64 turns addressed by index."""
+    import numpy as np
+
     # (t + 1)*GAMMA + seed == t*GAMMA + (GAMMA + seed) mod 2**64, in two passes
-    z = np.asarray(counters, dtype=np.int64).view(np.uint64) * _GAMMA
-    z += np.uint64((int(_GAMMA) + seed) % _TURN)
+    z = np.asarray(counters, dtype=np.int64).view(np.uint64) * np.uint64(_GAMMA)
+    z += np.uint64((_GAMMA + seed) % _TURN)
     return _mix(z, np.empty_like(z))
+
+
+def _hash64_int(seed: int, counter: int) -> int:
+    """:func:`_hash64` of one counter in Python ints."""
+    z = ((counter + 1) * _GAMMA + seed) % _TURN
+    z = (z ^ z >> 30) * _MIX1 % _TURN
+    z = (z ^ z >> 27) * _MIX2 % _TURN
+    return z ^ z >> 31
 
 
 def _steps(turns: np.ndarray) -> np.ndarray:
     """The top 53 bits of uint64 turns as doubles; shifts ``turns`` in place."""
-    turns >>= _STEP_SHIFT
+    import numpy as np
+
+    turns >>= np.uint64(_STEP_SHIFT)
     # below 2**53 the int64 view converts to the same double, faster than uint64
     return turns.view(np.int64).astype(np.float64)
 
@@ -121,8 +145,10 @@ class PhaseModel:
     """Configuration of a reproducible phase process.
 
     ``ensemble_size``, ``frequency_spread`` and ``burn_in`` apply to the
-    ``oscillator`` kind only and sit at their defaults otherwise.  An
-    oscillator whose rate sum overflows or never turns the phase is rejected.
+    ``oscillator`` kind only and sit at their defaults otherwise.  ``seed``,
+    ``ensemble_size`` and ``burn_in`` must be integers (numpy integers
+    included) and are stored as Python ints.  An oscillator whose rate sum
+    overflows or never turns the phase is rejected.
     """
 
     kind: str = IID_UNIFORM
@@ -134,14 +160,17 @@ class PhaseModel:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown phase model kind {self.kind!r}; expected one of {_KINDS}")
-        if not (0 <= int(self.seed) <= _MAX_SEED):
+        for name in ("seed", "ensemble_size", "burn_in"):
+            # a float seed would hash as a float and give a different stream
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        if not (0 <= self.seed <= _MAX_SEED):
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if not (1 <= int(self.ensemble_size) <= _MAX_ENSEMBLE):
+        if not (1 <= self.ensemble_size <= _MAX_ENSEMBLE):
             raise ValueError(f"ensemble_size must be in 1..{_MAX_ENSEMBLE}")
         spread = float(self.frequency_spread)
         if not (math.isfinite(spread) and spread > 0.0):
             raise ValueError("frequency_spread must be a positive finite number")
-        if int(self.burn_in) < 0:
+        if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
         if self.kind == OSCILLATOR_ENSEMBLE:
             try:
@@ -158,6 +187,8 @@ def ensemble_frequencies(model: PhaseModel) -> np.ndarray:
     Drawn once from the seed; the rates, not the phases, carry the model's
     randomness.
     """
+    import numpy as np
+
     if model.kind != OSCILLATOR_ENSEMBLE:
         raise ValueError("ensemble_frequencies only applies to the oscillator model")
     steps = _steps(_hash64(model.seed ^ _FREQ_TAG, np.arange(model.ensemble_size)))
@@ -166,13 +197,28 @@ def ensemble_frequencies(model: PhaseModel) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _rate_turns(model: PhaseModel) -> int:
-    """The ensemble's rate sum as a uint64 fraction of a turn, computed once per model."""
+    """The ensemble's rate sum as a uint64 fraction of a turn, computed once per model.
+
+    Up to ``_PY_RATES_MAX`` rates are hashed in Python ints, with the
+    operations of :func:`ensemble_frequencies` in its order, so both give the
+    same floats; larger ensembles go through numpy.
+    """
+    if model.ensemble_size > _PY_RATES_MAX:
+        rates = ensemble_frequencies(model).tolist()
+    else:
+        key = model.seed ^ _FREQ_TAG
+        rates = [
+            model.frequency_spread * (((_hash64_int(key, k) >> _STEP_SHIFT) + 1) * _INV_2POW53)
+            for k in range(model.ensemble_size)
+        ]
     # fsum keeps the rate sum order-independent and platform-stable
-    return int(math.ldexp(math.fsum(ensemble_frequencies(model).tolist()) / TWO_PI % 1.0, 64))
+    return int(math.ldexp(math.fsum(rates) / TWO_PI % 1.0, 64))
 
 
 def phases_at(model: PhaseModel, trials: np.ndarray) -> np.ndarray:
     """Phase values for the given trial indices, each in ``[0, 2*pi)``."""
+    import numpy as np
+
     t = np.asarray(trials, dtype=np.int64)
     if t.size and int(t.min()) < 0:
         raise ValueError("trial indices must be nonnegative")
@@ -223,6 +269,8 @@ class PhaseStream:
 
     def take(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw the next ``count`` samples as ``(trial_indices, phases)`` arrays."""
+        import numpy as np
+
         first = self._window(count)
         t = np.arange(first, first + self.stride * count, self.stride, dtype=np.int64)
         phi = phases_at(self.model, t)
@@ -287,7 +335,7 @@ def steps_below(stream: PhaseStream, n: int, steps: Sequence[int]) -> list[int]:
     for step in steps:
         if not 0 <= step <= PHASE_STEPS:
             raise ValueError(f"step {step} outside 0..{PHASE_STEPS}")
-        limits.append(step << int(_STEP_SHIFT))
+        limits.append(step << _STEP_SHIFT)
     if stream.model.kind == OSCILLATOR_ENSEMBLE:
         return _oscillator_turns_below(stream.model, first, stream.stride, n, limits)
     return _iid_turns_below(stream.model, first, stream.stride, n, limits)
@@ -304,16 +352,17 @@ def _iid_turns_below(
     of ``BLOCK_TRIALS`` trials is one add, :func:`_mix` and one compare per
     limit, all in buffers allocated once per call.
     """
+    import numpy as np
+
     below = [n if c == _TURN else 0 for c in limits]
     compared = [(i, np.uint64(c)) for i, c in enumerate(limits) if c < _TURN]
-    gamma = int(_GAMMA)
     ramp = np.arange(min(n, BLOCK_TRIALS), dtype=np.uint64)
-    ramp *= np.uint64(stride * gamma % _TURN)
+    ramp *= np.uint64(stride * _GAMMA % _TURN)
     z, scratch = np.empty_like(ramp), np.empty_like(ramp)
     mask = np.empty(ramp.shape, dtype=bool)
     for done in range(0, n, BLOCK_TRIALS):
         size = min(BLOCK_TRIALS, n - done)
-        offset = np.uint64(((first + stride * done + 1) * gamma + model.seed) % _TURN)
+        offset = np.uint64(((first + stride * done + 1) * _GAMMA + model.seed) % _TURN)
         turns = _mix(np.add(ramp[:size], offset, out=z[:size]), scratch[:size])
         for i, c in compared:
             below[i] += int(np.count_nonzero(np.less(turns, c, out=mask[:size])))

@@ -10,18 +10,20 @@ it, which post-selects the register into an initialized state.
 :func:`initialize` reads each block of phases once per Balanced qubit with
 :func:`~phasebit.signals.dichotomic_array`, which evaluates no cosine for a
 phase at a wrapped angle, and keeps the accepted columns with one
-``np.compress`` per array.
+``np.compress`` per array.  numpy is imported when :func:`initialize` runs,
+not with this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence, Union
 
 from .phase import BLOCK_TRIALS, PhaseStream, wrap_angle
 from .signals import dichotomic_array
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,8 @@ class VirtualRegister:
 
 def _trial_bits(qubits: Sequence[QubitState], phi: np.ndarray) -> np.ndarray:
     """Bit outcomes, one row per qubit, one column per trial."""
+    import numpy as np
+
     rows = []
     for q in qubits:
         if isinstance(q, Definite):
@@ -111,6 +115,8 @@ def initialize(register: VirtualRegister, trials: int) -> AcceptedTrials:
     trials produce no output at all.  Every returned column therefore has
     signal bit 0.  The stream is walked in blocks of ``BLOCK_TRIALS``.
     """
+    import numpy as np
+
     if trials < 1:
         raise ValueError("trials must be >= 1")
     kept_t, kept_bits = [], []

@@ -7,12 +7,13 @@ to ``+1``.  Two signals sharing the same phase, with detector angles
 ``delta`` is wrapped to ``(-pi, pi]``: fully correlated at ``delta = 0``,
 uncorrelated at ``+-pi/2``, anticorrelated at ``pi``.
 
-:func:`dichotomic_array` reads that sign without a cosine wherever
-``phi + alpha`` lies in ``(-pi, 3pi)``, which holds every phase in
-``[0, 2*pi)`` plus a wrapped angle.  There the cosine changes sign only at
-the four floats of ``COS_SIGN_EDGES``, one next to each odd multiple of
-``pi/2``, so the signal is the parity of the edges the sum has reached.
-Elements outside that range, NaN and infinities are read from ``np.cos``.
+:func:`dichotomic` and :func:`dichotomic_array` read that sign without a
+cosine wherever ``phi + alpha`` lies in ``(-pi, 3pi)``, which holds every
+phase in ``[0, 2*pi)`` plus a wrapped angle.  There the cosine changes sign
+only at the four floats of ``COS_SIGN_EDGES``, one next to each odd multiple
+of ``pi/2``, so the signal is the parity of the edges the sum has reached.
+Sums outside that range are read from the cosine; NaN and infinities read
+``-1``, as the NaN that ``np.cos`` gives them does.
 
 The estimator evaluates no cosine per trial.  A phase is one of
 ``PHASE_STEPS`` steps of a turn, and the signal at a fixed angle is constant
@@ -23,9 +24,10 @@ trial's step is below edge ``e`` exactly when its uint64 turns are below
 ``e << 11``, so :func:`~phasebit.phase.steps_below` counts the trials below
 each edge in turns, for both models: in blocks of hashed counters for
 ``iid``, in closed form for the ``oscillator``, at any trial count.  The
-signal on each run is read from :func:`dichotomic_array` at the run's first
-phase.  Counts and ``+-1`` product sums are integers, so the result does not
-depend on the blocking or the counting method.
+signal on each run is read from :func:`dichotomic` at the run's first phase.
+Counts and ``+-1`` product sums are Python ints, so the result does not
+depend on the blocking or the counting method, and the kernel itself needs
+no numpy: only the ``iid`` count and :func:`dichotomic_array` import it.
 """
 
 from __future__ import annotations
@@ -34,11 +36,13 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .phase import PHASE_STEPS, PhaseStream, step_phase, steps_below, wrap_angle
 from .phase import chunk_quota, substream  # unused here; bench/layer_trace.py wraps them by these names
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The floats at which the cosine's sign differs from the float just below,
 # near -pi/2, pi/2, 3pi/2 and 5pi/2: the only ones in COS_SIGN_RANGE.  The
@@ -51,8 +55,18 @@ def dichotomic(phi: float, alpha: float) -> int:
     """Signal value in ``{+1, -1}`` for one phase and detector angle.
 
     Ties (``cos(phi + alpha) == 0``) count as ``+1`` so the map is total.
+    On ``COS_SIGN_RANGE`` the signal is ``+1`` exactly when ``phi + alpha``
+    has reached an odd number of ``COS_SIGN_EDGES``; elsewhere it is read
+    from ``math.cos``, and NaN and infinities read ``-1``.  This is the rule
+    of :func:`dichotomic_array`, one element at a time.
     """
-    return 1 if math.cos(phi + alpha) >= 0.0 else -1
+    x = phi + alpha
+    lo, hi = COS_SIGN_RANGE
+    if lo < x < hi:
+        positive = bisect.bisect_right(COS_SIGN_EDGES, x) % 2
+    else:
+        positive = math.isfinite(x) and math.cos(x) >= 0.0
+    return 1 if positive else -1
 
 
 def dichotomic_array(phi: np.ndarray, alpha: float) -> np.ndarray:
@@ -63,6 +77,8 @@ def dichotomic_array(phi: np.ndarray, alpha: float) -> np.ndarray:
     ``COS_SIGN_EDGES``.  Elements outside that range, NaN and infinities are
     read from ``np.cos``.
     """
+    import numpy as np
+
     x = np.asarray(np.asarray(phi, dtype=np.float64) + alpha)  # a 0-d input stays an array
     odd = x >= COS_SIGN_EDGES[0]
     for edge in COS_SIGN_EDGES[1:]:
@@ -139,8 +155,8 @@ def sign_product_sums(
     constant, and :func:`~phasebit.phase.steps_below` counts the trials
     below each edge: blocks of ``BLOCK_TRIALS`` hashed counters for ``iid``,
     O(log) big-integer steps per edge for the ``oscillator``.  One
-    :func:`dichotomic_array` call per angle on the runs' first phases gives
-    the signals, and each sum is the run counts weighted by
+    :func:`dichotomic` call per angle and run, at the run's first phase,
+    gives the signals, and each sum is the run counts weighted by
     ``s(x) * s(y)``.  Integer counts make the result independent of the
     blocking and the counting method.  A window whose trial indices would
     reach ``2**63`` raises ``ValueError`` before any work.  The
@@ -153,10 +169,10 @@ def sign_product_sums(
     edges = sorted(set().union(*(sign_edges(a) for a in angles)))
     below = steps_below(stream, n, edges)
     stream.skip(n)
-    runs = np.diff(np.array([0, *below, n], dtype=np.int64))
-    first_phases = np.array([0.0, *(step_phase(k) for k in edges)])
-    signs = {a: dichotomic_array(first_phases, a).astype(np.int64) for a in angles}
-    return [int((runs * signs[x] * signs[y]).sum()) for x, y in pairs]
+    runs = [hi - lo for lo, hi in zip([0, *below], [*below, n])]
+    first_phases = [0.0, *(step_phase(k) for k in edges)]
+    signs = {a: [dichotomic(phi, a) for phi in first_phases] for a in angles}
+    return [sum(r * sx * sy for r, sx, sy in zip(runs, signs[x], signs[y])) for x, y in pairs]
 
 
 def estimate_correlation(

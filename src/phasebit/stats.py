@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .phase import TWO_PI, PhaseModel, make_phase_stream, substream
 from .phase import chunk_quota  # unused here; bench/layer_trace.py wraps it by this name
 from .signals import (
@@ -131,6 +129,8 @@ def ks_uniformity(samples: Sequence[float]) -> KsResult:
     Returns the exact two-sided statistic together with the asymptotic 1%
     critical value ``1.63 / sqrt(n)``.
     """
+    import numpy as np
+
     x = np.asarray(samples, dtype=np.float64).reshape(-1)
     if x.size < 100:
         raise ValueError("need at least 100 samples")

@@ -7,7 +7,8 @@ spans more than one 2**16-trial block.  Each file under
 run with numpy's ``RuntimeWarning``s as errors.  A change to any estimator
 must reproduce these bytes for every worker count; an intended output change
 regenerates them with ``PYTHONPATH=src python tests/test_golden.py`` and
-says why.
+says why.  The commands that hash no trial must reproduce their files with
+site-packages, and so numpy, out of reach.
 """
 
 import os
@@ -46,6 +47,37 @@ def test_output_matches_golden_bytes(name, workers, tmp_path):
     out = tmp_path / name
     assert main([*CASES[name], "--workers", workers, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+# the golden configs that hash no trial
+NUMPY_FREE = [
+    f"{stem}.{fmt}"
+    for stem in (
+        "gates-iid", "gates-oscillator", "curve-oscillator", "chsh-oscillator",
+        "chsh-independent-oscillator", "compare-oscillator",
+    )
+    for fmt in ("csv", "json")
+]
+
+
+def run_without_site(args: list[str]) -> subprocess.CompletedProcess:
+    """``python -S args`` with only ``src`` on the path: numpy cannot be imported."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, "-S", *args], capture_output=True, env=env, timeout=120
+    )
+
+
+def test_package_imports_without_numpy():
+    done = run_without_site(["-c", "import sys, phasebit; sys.exit('numpy' in sys.modules)"])
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("name", NUMPY_FREE)
+def test_numpy_free_commands_match_golden_bytes_without_numpy(name):
+    done = run_without_site(["-m", "phasebit", *CASES[name]])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN / name).read_bytes()
 
 
 def run_demo(demo: Path) -> bytes:

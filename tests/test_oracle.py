@@ -149,6 +149,22 @@ def test_singlet_correlation_matches_closed_form():
         assert singlet_correlation(a, b) == pytest.approx(-math.cos(a - b), abs=1e-12)
 
 
+def numpy_singlet_correlation(a, b):
+    """``<psi| A(a) (x) B(b) |psi>`` in numpy: the reference for ``singlet_correlation``."""
+    psi = singlet_state().amplitudes
+    return float(np.real(np.vdot(psi, np.kron(observable(a), observable(b)) @ psi)))
+
+
+def test_singlet_correlation_equals_the_numpy_expression_bit_for_bit():
+    grid = [k * math.pi / 16 for k in range(-32, 33)]
+    pairs = [(a, b) for a in grid for b in grid]
+    pairs += np.random.default_rng(20030101).uniform(-10.0, 10.0, size=(10_000, 2)).tolist()
+    for a, b in pairs:
+        # hex tells -0.0 from 0.0, which print differently
+        assert singlet_correlation(a, b).hex() == numpy_singlet_correlation(a, b).hex(), (a, b)
+    assert singlet_correlation(0.0, math.pi / 2) == -6.123233995736765e-17
+
+
 # --------------------------------------------------------------------- CHSH
 
 def test_chsh_quantum_canonical_magnitude():

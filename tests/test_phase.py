@@ -96,6 +96,52 @@ def test_model_rejects_bad_ensemble():
         PhaseModel(kind=OSCILLATOR_ENSEMBLE, burn_in=-1)
 
 
+@pytest.mark.parametrize("kind", [IID_UNIFORM, OSCILLATOR_ENSEMBLE])
+@pytest.mark.parametrize("field", ["seed", "ensemble_size", "burn_in"])
+def test_model_takes_only_integer_seed_size_and_burn_in(field, kind):
+    # a float seed would hash in float arithmetic and give another stream
+    with pytest.raises(TypeError):
+        PhaseModel(kind=kind, **{field: 5.0})
+    model = PhaseModel(kind=kind, **{field: np.int64(5)})
+    assert type(getattr(model, field)) is int and getattr(model, field) == 5
+
+
+@pytest.mark.parametrize("kind", [IID_UNIFORM, OSCILLATOR_ENSEMBLE])
+@pytest.mark.parametrize("seed", [5, 2**64 - 1])
+def test_numpy_integer_seed_gives_the_stream_of_the_equal_int(kind, seed):
+    model = PhaseModel(kind=kind, seed=np.uint64(seed))
+    assert model == PhaseModel(kind=kind, seed=seed)
+    assert type(model.seed) is int
+    t = np.arange(4)
+    assert phases_at(model, t).tolist() == phases_at(PhaseModel(kind=kind, seed=seed), t).tolist()
+
+
+def rate_turns_or_error(monkeypatch, py_rates_max, **fields):
+    """``_rate_turns`` of an oscillator, or its config error, with the given threshold."""
+    monkeypatch.setattr(phase_module, "_PY_RATES_MAX", py_rates_max)
+    phase_module._rate_turns.cache_clear()
+    try:
+        return phase_module._rate_turns(PhaseModel(kind=OSCILLATOR_ENSEMBLE, **fields))
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("spread", [1e-3, 1.0, 1e12, 1e15, 1e300, 1e308])
+@pytest.mark.parametrize("size_over", [-1, 0, 1])
+def test_rate_turns_from_python_ints_equal_the_numpy_rates(size_over, spread, monkeypatch):
+    fields = {
+        "seed": 20261018,
+        "ensemble_size": phase_module._PY_RATES_MAX + size_over,
+        "frequency_spread": spread,
+    }
+    python = rate_turns_or_error(monkeypatch, 2**20, **fields)
+    numpy = rate_turns_or_error(monkeypatch, 0, **fields)
+    assert python == numpy
+    if spread == 1e308:  # the rate sum overflows; it must not reach a NaN first
+        assert "frequency_spread" in python
+    phase_module._rate_turns.cache_clear()
+
+
 # rates so large or so small that the phase cannot turn, or a rate sum past the float range
 @pytest.mark.parametrize("spread,size", [(1e20, 32), (1e-300, 32), (5e-324, 32), (1e308, 4)])
 def test_model_rejects_an_oscillator_that_cannot_turn(spread, size):
@@ -343,6 +389,7 @@ def test_hash64_pinned_values(seed, counter, expected):
     assert out.dtype == np.uint64
     assert out.tolist() == [expected, expected]
     assert _splitmix64(seed, counter) == expected
+    assert phase_module._hash64_int(seed, counter) == expected
 
 
 @pytest.mark.parametrize(

@@ -62,9 +62,16 @@ def test_dichotomic_array_matches_scalar():
     phi = np.linspace(0.0, TWO_PI, 101, endpoint=False)
     vec = dichotomic_array(phi, 0.3)
     assert vec.tolist() == [dichotomic(p, 0.3) for p in phi]
-    edges = np.array(signals.COS_SIGN_EDGES)
-    for x in np.concatenate([edges, np.nextafter(edges, -np.inf)]):
-        assert dichotomic_array(np.array([x]), 0.0)[0] == dichotomic(x, 0.0)
+    # both sides of every edge, also where an angle of +-pi or +-2pi moves the
+    # sum to the edge, and the sums that neither edge rule reads
+    near = [x for e in signals.COS_SIGN_EDGES for x in floats_around(e, 5).tolist()]
+    special = [math.nan, math.inf, -math.inf, 1e300, -1e300]
+    for shift in (0.0, math.pi, -math.pi, TWO_PI, -TWO_PI):
+        phi = [x - shift for x in near] + special
+        with np.errstate(invalid="ignore"):
+            vec = dichotomic_array(np.array(phi), shift)
+        assert vec.tolist() == [dichotomic(p, shift) for p in phi]
+        assert vec.tolist() == cosine_signal(np.array(phi) + shift, 0.0).tolist()
 
 
 def test_cos_sign_edges_are_the_sign_changes_of_both_cosines():
@@ -350,13 +357,13 @@ def test_sign_edges_give_the_exact_correlation_over_every_step():
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=["iid", "oscillator"])
 def test_kernel_evaluates_no_signal_per_trial(model, monkeypatch):
     evaluated = []
-    reference = signals.dichotomic_array
+    reference = signals.dichotomic
 
     def counting(phi, alpha):
-        evaluated.append(len(phi))
+        evaluated.append(1)
         return reference(phi, alpha)
 
-    monkeypatch.setattr(signals, "dichotomic_array", counting)
+    monkeypatch.setattr(signals, "dichotomic", counting)
     pairs = ((0.0, 0.7), (0.7, 2.5), (-1.0, math.pi))
     per_call = []
     for n in (1, 3 * BLOCK_TRIALS + 5):
