@@ -30,8 +30,7 @@ each of them counts its trials in one serial pass.
 numpy is imported only by the functions that build arrays: the ``iid``
 count, :func:`phases_at`, :meth:`PhaseStream.take` and
 :func:`ensemble_frequencies`.  The oscillator's rate sum is hashed in Python
-ints up to ``_PY_RATES_MAX`` rates, so an oscillator count runs without
-numpy at the default ensemble size.
+ints, so an oscillator count runs without numpy.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,9 +70,6 @@ _INV_2POW53 = 1.0 / PHASE_STEPS
 BLOCK_TRIALS = 1 << 16
 # 2*pi / 2**53 is exact, so k * _STEP_RADIANS rounds as (k / 2**53) * 2*pi does
 _STEP_RADIANS = _INV_2POW53 * TWO_PI
-# Up to this many rates, hashing them in Python ints (about 4 ms for 4096)
-# costs less than importing numpy; above it numpy hashes them.
-_PY_RATES_MAX = 4096
 
 
 def wrap_angle(x: float) -> float:
@@ -147,8 +143,9 @@ class PhaseModel:
     ``ensemble_size``, ``frequency_spread`` and ``burn_in`` apply to the
     ``oscillator`` kind only and sit at their defaults otherwise.  ``seed``,
     ``ensemble_size`` and ``burn_in`` must be integers (numpy integers
-    included) and are stored as Python ints.  An oscillator whose rate sum
-    overflows or never turns the phase is rejected.
+    included) and are stored as Python ints; ``frequency_spread`` is stored
+    as a Python float.  An oscillator whose rate sum overflows or never turns
+    the phase is rejected.
     """
 
     kind: str = IID_UNIFORM
@@ -167,7 +164,9 @@ class PhaseModel:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if not (1 <= self.ensemble_size <= _MAX_ENSEMBLE):
             raise ValueError(f"ensemble_size must be in 1..{_MAX_ENSEMBLE}")
+        # a float32 spread would round every rate to float32
         spread = float(self.frequency_spread)
+        object.__setattr__(self, "frequency_spread", spread)
         if not (math.isfinite(spread) and spread > 0.0):
             raise ValueError("frequency_spread must be a positive finite number")
         if self.burn_in < 0:
@@ -195,24 +194,23 @@ def ensemble_frequencies(model: PhaseModel) -> np.ndarray:
     return model.frequency_spread * ((steps + 1.0) * _INV_2POW53)  # exact: steps + 1 <= 2**53
 
 
+def _rates(model: PhaseModel) -> Iterator[float]:
+    """The rates of :func:`ensemble_frequencies` as Python floats, hashed in Python ints.
+
+    The same operations in the same order, ``spread * ((k + 1) * 2**-53)``,
+    so the same floats; the order ``spread * (k + 1) * 2**-53`` would
+    overflow at a spread near the float maximum.
+    """
+    key = model.seed ^ _FREQ_TAG
+    for k in range(model.ensemble_size):
+        yield model.frequency_spread * (((_hash64_int(key, k) >> _STEP_SHIFT) + 1) * _INV_2POW53)
+
+
 @functools.lru_cache(maxsize=16)
 def _rate_turns(model: PhaseModel) -> int:
-    """The ensemble's rate sum as a uint64 fraction of a turn, computed once per model.
-
-    Up to ``_PY_RATES_MAX`` rates are hashed in Python ints, with the
-    operations of :func:`ensemble_frequencies` in its order, so both give the
-    same floats; larger ensembles go through numpy.
-    """
-    if model.ensemble_size > _PY_RATES_MAX:
-        rates = ensemble_frequencies(model).tolist()
-    else:
-        key = model.seed ^ _FREQ_TAG
-        rates = [
-            model.frequency_spread * (((_hash64_int(key, k) >> _STEP_SHIFT) + 1) * _INV_2POW53)
-            for k in range(model.ensemble_size)
-        ]
+    """The ensemble's rate sum as a uint64 fraction of a turn, computed once per model."""
     # fsum keeps the rate sum order-independent and platform-stable
-    return int(math.ldexp(math.fsum(rates) / TWO_PI % 1.0, 64))
+    return int(math.ldexp(math.fsum(_rates(model)) / TWO_PI % 1.0, 64))
 
 
 def phases_at(model: PhaseModel, trials: np.ndarray) -> np.ndarray:

@@ -116,34 +116,35 @@ def test_numpy_integer_seed_gives_the_stream_of_the_equal_int(kind, seed):
     assert phases_at(model, t).tolist() == phases_at(PhaseModel(kind=kind, seed=seed), t).tolist()
 
 
-def rate_turns_or_error(monkeypatch, py_rates_max, **fields):
-    """``_rate_turns`` of an oscillator, or its config error, with the given threshold."""
-    monkeypatch.setattr(phase_module, "_PY_RATES_MAX", py_rates_max)
-    phase_module._rate_turns.cache_clear()
-    try:
-        return phase_module._rate_turns(PhaseModel(kind=OSCILLATOR_ENSEMBLE, **fields))
-    except ValueError as exc:
-        return str(exc)
+@pytest.mark.parametrize("kind", [IID_UNIFORM, OSCILLATOR_ENSEMBLE])
+@pytest.mark.parametrize("spread", [np.float32(0.1), "0.10000000149011612"])
+def test_model_stores_the_spread_as_a_python_float(spread, kind):
+    model = PhaseModel(kind=kind, seed=20261018, frequency_spread=spread)
+    assert type(model.frequency_spread) is float
+    assert model.frequency_spread == float(np.float32(0.1))
+    if kind == OSCILLATOR_ENSEMBLE:
+        # the stream numpy gave a float32 spread by multiplying it into float64 rates;
+        # a float32 spread times a Python float stays float32 under NEP 50
+        expected = ["0x0.0p+0", "0x1.ce7235bb9a286p+0", "0x1.ce7235bb9a286p+1", "0x1.5ad5a84cb39e4p+2"]
+        assert [x.hex() for x in phases_at(model, np.arange(4)).tolist()] == expected
 
 
 @pytest.mark.parametrize("spread", [1e-3, 1.0, 1e12, 1e15, 1e300, 1e308])
-@pytest.mark.parametrize("size_over", [-1, 0, 1])
-def test_rate_turns_from_python_ints_equal_the_numpy_rates(size_over, spread, monkeypatch):
-    fields = {
-        "seed": 20261018,
-        "ensemble_size": phase_module._PY_RATES_MAX + size_over,
-        "frequency_spread": spread,
-    }
-    python = rate_turns_or_error(monkeypatch, 2**20, **fields)
-    numpy = rate_turns_or_error(monkeypatch, 0, **fields)
-    assert python == numpy
-    if spread == 1e308:  # the rate sum overflows; it must not reach a NaN first
-        assert "frequency_spread" in python
-    phase_module._rate_turns.cache_clear()
+@pytest.mark.parametrize("size", [1, 32, 4096, 2**16 + 1])
+def test_rates_from_python_ints_equal_the_numpy_rates(size, spread):
+    model = PhaseModel(kind=OSCILLATOR_ENSEMBLE, seed=20261018, ensemble_size=size)
+    # the model refuses the spreads whose phase cannot turn, so the spread is set
+    # past that check here to compare the rates themselves
+    object.__setattr__(model, "frequency_spread", spread)
+    python = [r.hex() for r in phase_module._rates(model)]
+    assert python == [r.hex() for r in ensemble_frequencies(model).tolist()]
+    assert len(python) == size and all(0.0 < float.fromhex(r) <= spread for r in python)
 
 
 # rates so large or so small that the phase cannot turn, or a rate sum past the float range
-@pytest.mark.parametrize("spread,size", [(1e20, 32), (1e-300, 32), (5e-324, 32), (1e308, 4)])
+@pytest.mark.parametrize(
+    "spread,size", [(1e20, 32), (1e-300, 32), (5e-324, 32), (1e308, 4), (1e308, 4096)]
+)
 def test_model_rejects_an_oscillator_that_cannot_turn(spread, size):
     with pytest.raises(ValueError, match="frequency_spread"):
         PhaseModel(kind=OSCILLATOR_ENSEMBLE, frequency_spread=spread, ensemble_size=size)
@@ -339,13 +340,13 @@ def test_oscillator_phases_stay_distinct_past_2pow53():
 
 def test_oscillator_rates_are_drawn_once_per_model(monkeypatch):
     calls = []
-    draw = phase_module.ensemble_frequencies
-    monkeypatch.setattr(
-        phase_module, "ensemble_frequencies", lambda model: calls.append(model) or draw(model)
-    )
-    stream = make_phase_stream(PhaseModel(kind=OSCILLATOR_ENSEMBLE, seed=20261018))
-    sign_product_sums(stream, ((0.0, 1.0),), 3 * BLOCK_TRIALS)
-    assert len(calls) <= 1
+    draw = phase_module._rates
+    monkeypatch.setattr(phase_module, "_rates", lambda model: calls.append(model) or draw(model))
+    phase_module._rate_turns.cache_clear()
+    model = PhaseModel(kind=OSCILLATOR_ENSEMBLE, seed=20261018)
+    for _ in range(2):
+        sign_product_sums(make_phase_stream(model), ((0.0, 1.0),), 3 * BLOCK_TRIALS)
+    assert calls == [model]
 
 
 def _splitmix64(seed, counter):
