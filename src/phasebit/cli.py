@@ -116,14 +116,14 @@ def _run_init(config: ExperimentConfig):
     n_accepted = len(accepted)
     ones_per_qubit = accepted.bits.sum(axis=1).tolist()
     rows = []
-    for q, (alpha, ones) in enumerate(zip(register.angles, ones_per_qubit)):
+    for index, (q, ones) in enumerate(zip(register.qubits, ones_per_qubit)):
         if n_accepted:
             p_bit0 = (n_accepted - ones) / n_accepted
             stderr = math.sqrt(p_bit0 * (1.0 - p_bit0) / n_accepted)
         else:
             p_bit0 = math.nan
             stderr = math.nan
-        rows.append((q, alpha, config.trials, n_accepted, p_bit0, stderr))
+        rows.append((index, q.alpha, config.trials, n_accepted, p_bit0, stderr))
     return INIT_FIELDS, rows
 
 
@@ -174,9 +174,9 @@ def run(config: ExperimentConfig) -> int:
     try:
         fieldnames, rows = _RUNNERS[config.command][0](config)
         if config.format == "csv":
-            emit_csv(fieldnames, rows, config.out_path)
+            emit_csv(fieldnames, rows, config.out)
         else:
-            emit_json(fieldnames, rows, config.out_path)
+            emit_json(fieldnames, rows, config.out)
     except Exception as exc:
         print(f"phasebit: {exc}", file=sys.stderr)
         return 1

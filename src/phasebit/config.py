@@ -50,7 +50,7 @@ class ExperimentConfig:
     model: PhaseModel
     trials: int
     angles: tuple[float, ...]
-    out_path: str = STDOUT_SENTINEL
+    out: str = STDOUT_SENTINEL
     format: str = "csv"
     workers: int = 1
     signal_index: int = 0
@@ -115,7 +115,6 @@ class Key(NamedTuple):
     metavar: str | None = None
     help: str | None = None
     env: str | None = None  # environment variable read when the key is absent
-    field: str | None = None  # dataclass field, when it is not the key's name
 
 
 # Every config key in canonical order, the order of the dataclass fields.
@@ -130,7 +129,7 @@ KEYS = {
     "trials": Key(int, "--trials", "N", "samples per estimate (default 10000)"),
     "angles": Key(parse_angles, "--angles", "LIST",
                   "comma-separated angles; 'pi' forms allowed, e.g. 0,pi/4,pi/2"),
-    "out": Key(str, "--out", "PATH", "output file, '-' for stdout (default)", field="out_path"),
+    "out": Key(str, "--out", "PATH", "output file, '-' for stdout (default)"),
     "format": Key(str, "--format", "FMT", f"output format: {' | '.join(FORMATS)}"),
     "workers": Key(int, "--workers", "N",
                    f"1..{MAX_WORKERS}; validated here only: no command splits its trials "
@@ -170,7 +169,7 @@ def build_config(raw: Mapping[str, str]) -> ExperimentConfig:
         if text is None:
             continue
         try:
-            values[key.field or name] = key.parse(text)
+            values[name] = key.parse(text)
         except ConfigError:
             raise
         except ValueError:
@@ -199,7 +198,7 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"unknown format {config.format!r}; expected one of {FORMATS}")
     if config.trials < 1:
         raise ConfigError("trials must be >= 1")
-    if not config.out_path:
+    if not config.out:
         raise ConfigError(f"out path must not be empty; use {STDOUT_SENTINEL!r} for stdout")
     if not 1 <= config.workers <= MAX_WORKERS:
         raise ConfigError(f"workers must be in 1..{MAX_WORKERS}")
@@ -237,4 +236,4 @@ def serialize_config(config: ExperimentConfig) -> str:
     """Canonical config text; ``parse_config`` inverts it exactly."""
     values = asdict(config)
     values.update(values.pop("model"))
-    return "".join(f"{name} = {_text(values[key.field or name])}\n" for name, key in KEYS.items())
+    return "".join(f"{name} = {_text(values[name])}\n" for name in KEYS)

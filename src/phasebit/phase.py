@@ -90,6 +90,14 @@ def wrap_angle(x: float) -> float:
     return r
 
 
+def count_at_least(name: str, value: int, low: int) -> int:
+    """A count or window as a Python int of at least ``low``; a float is a ``TypeError``."""
+    value = operator.index(value)
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return value
+
+
 def _mix(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Stafford's mix13, splitmix64's finalizer, in place on uint64 ``z``; returns ``z``.
 
@@ -251,13 +259,9 @@ class PhaseStream:
     """
 
     def __init__(self, model: PhaseModel, start: int = 0, stride: int = 1):
-        if start < 0:
-            raise ValueError("start must be >= 0")
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
         self.model = model
-        self.start = int(start)
-        self.stride = int(stride)
+        self.start = count_at_least("start", start, 0)
+        self.stride = count_at_least("stride", stride, 1)
         self._cursor = 0
 
     @property
@@ -269,6 +273,7 @@ class PhaseStream:
         """Draw the next ``count`` samples as ``(trial_indices, phases)`` arrays."""
         import numpy as np
 
+        count = count_at_least("count", count, 0)
         first = self._window(count)
         t = np.arange(first, first + self.stride * count, self.stride, dtype=np.int64)
         phi = phases_at(self.model, t)
@@ -277,8 +282,6 @@ class PhaseStream:
 
     def _window(self, count: int) -> int:
         """The first trial index of the next ``count`` draws, once all of them are checked."""
-        if count < 0:
-            raise ValueError("count must be >= 0")
         first = self.start + self.stride * self._cursor
         if count and first + self.stride * (count - 1) >= 2**63:
             raise ValueError("trial indices must stay below 2**63")
@@ -286,9 +289,7 @@ class PhaseStream:
 
     def skip(self, count: int) -> None:
         """Advance the cursor without materializing samples."""
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        self._cursor += count
+        self._cursor += count_at_least("count", count, 0)
 
     def __repr__(self) -> str:
         return (
@@ -328,6 +329,7 @@ def steps_below(stream: PhaseStream, n: int, steps: Sequence[int]) -> list[int]:
     trial indices that would reach ``2**63`` raise ``ValueError``, as in
     :meth:`PhaseStream.take`.  The cursor does not move.
     """
+    n = count_at_least("n", n, 0)
     first = stream._window(n)
     limits = []
     for step in steps:
@@ -391,6 +393,15 @@ def make_phase_stream(model: PhaseModel) -> PhaseStream:
     return PhaseStream(model)
 
 
+def _chunk(chunk_index: int, num_chunks: int) -> tuple[int, int]:
+    """``(chunk_index, num_chunks)`` as Python ints, checked to name one leapfrog chunk."""
+    num_chunks = count_at_least("num_chunks", num_chunks, 1)
+    chunk_index = operator.index(chunk_index)
+    if not 0 <= chunk_index < num_chunks:
+        raise ValueError(f"chunk_index {chunk_index} outside 0..{num_chunks - 1}")
+    return chunk_index, num_chunks
+
+
 def substream(stream: PhaseStream, chunk_index: int, num_chunks: int) -> PhaseStream:
     """Leapfrog split of everything the stream has not yet drawn.
 
@@ -399,10 +410,7 @@ def substream(stream: PhaseStream, chunk_index: int, num_chunks: int) -> PhaseSt
     exactly once, as a multiset of ``(t, phi)`` pairs.  The parent stream is
     left untouched.
     """
-    if num_chunks < 1:
-        raise ValueError("num_chunks must be >= 1")
-    if not 0 <= chunk_index < num_chunks:
-        raise ValueError(f"chunk_index {chunk_index} outside 0..{num_chunks - 1}")
+    chunk_index, num_chunks = _chunk(chunk_index, num_chunks)
     return PhaseStream(
         stream.model,
         start=stream.start + stream.stride * (stream.position + chunk_index),
@@ -412,10 +420,6 @@ def substream(stream: PhaseStream, chunk_index: int, num_chunks: int) -> PhaseSt
 
 def chunk_quota(total: int, chunk_index: int, num_chunks: int) -> int:
     """How many of ``total`` leapfrog draws land in the given chunk."""
-    if total < 0:
-        raise ValueError("total must be >= 0")
-    if num_chunks < 1:
-        raise ValueError("num_chunks must be >= 1")
-    if not 0 <= chunk_index < num_chunks:
-        raise ValueError(f"chunk_index {chunk_index} outside 0..{num_chunks - 1}")
+    total = count_at_least("total", total, 0)
+    chunk_index, num_chunks = _chunk(chunk_index, num_chunks)
     return max(0, (total - chunk_index + num_chunks - 1) // num_chunks)

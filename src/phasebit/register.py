@@ -9,9 +9,10 @@ it, which post-selects the register into an initialized state.
 
 :func:`initialize` reads each block of phases once per Balanced qubit with
 :func:`~phasebit.signals.dichotomic_array`, which evaluates no cosine for a
-phase at a wrapped angle, and keeps the accepted columns with one
-``np.compress`` per array.  numpy is imported when :func:`initialize` runs,
-not with this module.
+phase at a wrapped angle, and keeps only the bit columns of the accepted
+trials, one ``np.compress`` per block.  An accepted trial costs ``qubits``
+bytes; its trial index is not kept.  numpy is imported when
+:func:`initialize` runs, not with this module.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence, Union
 
-from .phase import BLOCK_TRIALS, PhaseStream, wrap_angle
+from .phase import BLOCK_TRIALS, PhaseStream, count_at_least, wrap_angle
 from .signals import dichotomic_array
 
 if TYPE_CHECKING:
@@ -71,11 +72,6 @@ class VirtualRegister:
         if not 0 <= self.signal_index < len(self.qubits):
             raise ValueError(f"signal_index {self.signal_index} outside register")
 
-    @property
-    def angles(self) -> tuple:
-        """Per-qubit detector angle; ``None`` for Definite qubits."""
-        return tuple(q.alpha if isinstance(q, Balanced) else None for q in self.qubits)
-
 
 def _trial_bits(qubits: Sequence[QubitState], phi: np.ndarray) -> np.ndarray:
     """Bit outcomes, one row per qubit, one column per trial."""
@@ -91,21 +87,21 @@ def _trial_bits(qubits: Sequence[QubitState], phi: np.ndarray) -> np.ndarray:
     return np.stack(rows)
 
 
-# arrays have no single truth value, so equality is identity: compare .t and .bits
+# an array has no single truth value, so equality is identity: compare .bits
 @dataclass(frozen=True, eq=False)
 class AcceptedTrials:
-    """Accepted trials as two arrays.
+    """The bit columns of the accepted trials.
 
-    ``t`` holds the trial indices (int64) and ``bits`` the bit columns, one
-    row per qubit and one column per accepted trial (int8), so a trial
-    costs ``8 + qubits`` bytes.  ``len()`` counts the accepted trials.
+    ``bits`` holds one row per qubit and one column per accepted trial
+    (int8), so a trial costs ``qubits`` bytes.  ``len()`` counts the
+    columns, that is the accepted trials, where a bare array's ``len()``
+    would count the qubits.
     """
 
-    t: np.ndarray
     bits: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.t)
+        return self.bits.shape[1]
 
 
 def initialize(register: VirtualRegister, trials: int) -> AcceptedTrials:
@@ -117,31 +113,28 @@ def initialize(register: VirtualRegister, trials: int) -> AcceptedTrials:
     """
     import numpy as np
 
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    kept_t, kept_bits = [], []
+    trials = count_at_least("trials", trials, 1)
+    kept = []
     for done in range(0, trials, BLOCK_TRIALS):
-        t, phi = register.stream.take(min(BLOCK_TRIALS, trials - done))
+        _, phi = register.stream.take(min(BLOCK_TRIALS, trials - done))
         bits = _trial_bits(register.qubits, phi)
-        keep = bits[register.signal_index] == 0
-        kept_t.append(np.compress(keep, t))
-        kept_bits.append(np.compress(keep, bits, axis=1))
-    return AcceptedTrials(np.concatenate(kept_t), np.concatenate(kept_bits, axis=1))
+        kept.append(np.compress(bits[register.signal_index] == 0, bits, axis=1))
+    return AcceptedTrials(np.concatenate(kept, axis=1))
 
 
-def hadamard(q: QubitState, default_alpha: float = 0.0) -> QubitState:
+def hadamard(q: QubitState) -> QubitState:
     """Hadamard rule on a virtual qubit state.
 
     A Balanced qubit, read in the rotated basis, stops being random and
-    becomes ``Definite(0)``; either Definite bit becomes
-    ``Balanced(default_alpha)``.  Both definite inputs map to the same
-    output, so this rule is not an involution; contrast with the unitary
-    gate in :mod:`phasebit.oracle`, where ``H @ H == I``.
+    becomes ``Definite(0)``; either Definite bit becomes ``Balanced(0.0)``.
+    Both definite inputs map to the same output, so this rule is not an
+    involution; contrast with the unitary gate in :mod:`phasebit.oracle`,
+    where ``H @ H == I``.
     """
     if isinstance(q, Balanced):
         return Definite(0)
     if isinstance(q, Definite):
-        return Balanced(default_alpha)
+        return Balanced(0.0)
     raise TypeError(f"not a qubit state: {q!r}")
 
 

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .phase import PHASE_STEPS, PhaseStream, step_phase, steps_below, wrap_angle
+from .phase import PHASE_STEPS, PhaseStream, count_at_least, step_phase, steps_below, wrap_angle
 from .phase import chunk_quota, substream  # unused here; bench/layer_trace.py wraps them by these names
 
 if TYPE_CHECKING:
@@ -104,8 +104,7 @@ class CorrelationEstimate:
     @classmethod
     def from_product_sum(cls, total: int, n: int) -> "CorrelationEstimate":
         """Build the estimate from an exact integer sum of ``n`` products."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        n = count_at_least("n", n, 1)
         if abs(total) > n:
             raise ValueError("product sum cannot exceed the sample count")
         mean = total / n
@@ -162,8 +161,7 @@ def sign_product_sums(
     reach ``2**63`` raises ``ValueError`` before any work.  The
     stream's cursor advances by ``n``.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = count_at_least("n", n, 1)
     pairs = [(wrap_angle(x), wrap_angle(y)) for x, y in pairs]
     angles = dict.fromkeys(a for pair in pairs for a in pair)
     edges = sorted(set().union(*(sign_edges(a) for a in angles)))

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .phase import TWO_PI, PhaseModel, make_phase_stream, substream
+from .phase import TWO_PI, PhaseModel, count_at_least, make_phase_stream, substream
 from .phase import chunk_quota  # unused here; bench/layer_trace.py wraps it by this name
 from .signals import (
     CorrelationEstimate,
@@ -95,6 +95,7 @@ def chsh_classical(
     otherwise each correlator runs on its own substream of ``n`` fresh
     trials.  Either way each term uses ``n`` samples.
     """
+    n = count_at_least("n", n, 1)  # an int64 n would overflow n**3
     angles = (float(a1), float(a2), float(b1), float(b2))
     pairs = tuple((a, b) for a in angles[:2] for b in angles[2:])
     base = make_phase_stream(model)

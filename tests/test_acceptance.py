@@ -112,8 +112,8 @@ def test_criterion_5_post_selection():
 def test_criterion_6_gate_semantics():
     assert cnot(0, 0) == 0 and cnot(0, 1) == 1 and cnot(1, 0) == 1 and cnot(1, 1) == 0
     assert hadamard(Balanced(0.7)) == Definite(0)
-    assert hadamard(Definite(0), default_alpha=0.0) == Balanced(0.0)
-    assert hadamard(Definite(1), default_alpha=0.0) == Balanced(0.0)
+    assert hadamard(Definite(0)) == Balanced(0.0)
+    assert hadamard(Definite(1)) == Balanced(0.0)
     rng = np.random.default_rng(6)
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
     state = QuantumState(3, amps / np.linalg.norm(amps))

@@ -500,3 +500,54 @@ def test_stream_rejects_bad_construction():
         with pytest.raises(ValueError):
             window.take(count)
         assert window.position == 0
+
+
+# ------------------------------------------------ integer counts and windows
+
+_IID = PhaseModel(seed=1)
+_OSCILLATOR = PhaseModel(kind=OSCILLATOR_ENSEMBLE, seed=1)
+# Each entry point that takes a trial count, a window or a chunk, fed ``value`` there.
+COUNT_ENTRY_POINTS = {
+    "start": lambda value: PhaseStream(_IID, start=value),
+    "stride": lambda value: PhaseStream(_IID, stride=value),
+    "take": lambda value: make_phase_stream(_IID).take(value),
+    "skip": lambda value: make_phase_stream(_IID).skip(value),
+    "steps_below_iid": lambda value: steps_below(make_phase_stream(_IID), value, [2**52]),
+    "steps_below_oscillator":
+        lambda value: steps_below(make_phase_stream(_OSCILLATOR), value, [2**52]),
+    "substream_chunk_index": lambda value: substream(make_phase_stream(_IID), value, 4),
+    "substream_num_chunks": lambda value: substream(make_phase_stream(_IID), 0, value),
+    "chunk_quota_total": lambda value: chunk_quota(value, 0, 4),
+    "chunk_quota_chunk_index": lambda value: chunk_quota(10, value, 4),
+    "chunk_quota_num_chunks": lambda value: chunk_quota(10, 0, value),
+}
+
+
+@pytest.mark.parametrize("value", [2.0, 2.5, np.float64(2.0)], ids=["2.0", "2.5", "np2.0"])
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+def test_counts_and_windows_refuse_floats(entry, value):
+    # rounding or truncating a float count would draw or skip other trials
+    with pytest.raises(TypeError):
+        COUNT_ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("kind", [IID_UNIFORM, OSCILLATOR_ENSEMBLE])
+def test_numpy_integer_counts_give_the_stream_of_the_equal_ints(kind):
+    model = PhaseModel(kind=kind, seed=9)
+    stream = PhaseStream(model, start=np.int64(3), stride=np.uint32(2))
+    stream.skip(np.int16(1))
+    t, phi = stream.take(np.int64(5))
+    reference = PhaseStream(model, start=3, stride=2)
+    reference.skip(1)
+    t_ref, phi_ref = reference.take(5)
+    assert t.tolist() == t_ref.tolist() and phi.tolist() == phi_ref.tolist()
+    assert [type(v) for v in (stream.start, stream.stride, stream.position)] == [int] * 3
+
+    sub = substream(stream, np.int64(1), np.uint8(3))
+    assert (sub.start, sub.stride) == (17, 6)
+    assert type(sub.start) is int and type(sub.stride) is int
+    quota = chunk_quota(np.int64(10), np.int32(1), np.uint64(3))
+    assert quota == 3 and type(quota) is int
+    below = steps_below(stream, np.int64(100), [2**52])
+    assert below == steps_below(stream, 100, [2**52])
+    assert [type(v) for v in below] == [int]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -50,16 +51,11 @@ def test_register_validation():
         VirtualRegister([Definite(0), "nope"], stream)
 
 
-def test_register_angles_property():
-    reg = fresh_register([Definite(1), Balanced(0.5)])
-    assert reg.angles == (None, 0.5)
-
-
 # ------------------------------------------------------- single-trial rules
 
 def test_one_trial_all_definite_zero_is_accepted():
     accepted = initialize(fresh_register([Definite(0), Definite(0), Definite(0)]), 1)
-    assert accepted.t.tolist() == [0]
+    assert len(accepted) == 1
     assert accepted.bits.tolist() == [[0], [0], [0]]
 
 
@@ -93,10 +89,11 @@ def test_target_agreement_fraction_at_quarter_angle():
 # --------------------------------------------------------------- initialize
 
 def test_initialize_forced_acceptance():
-    reg = fresh_register([Definite(0), Balanced(1.0)])
-    accepted = initialize(reg, 500)
+    qubits = [Definite(0), Balanced(1.0)]
+    accepted = initialize(fresh_register(qubits), 500)
     assert len(accepted) == 500
-    assert np.array_equal(accepted.t, np.arange(500))
+    _, phi = make_phase_stream(PhaseModel(seed=42)).take(500)
+    assert np.array_equal(accepted.bits, _trial_bits(qubits, phi))
 
 
 def test_initialize_forced_rejection_outputs_nothing():
@@ -119,6 +116,18 @@ def test_initialize_rejects_zero_trials():
     reg = fresh_register([Balanced(0.0)])
     with pytest.raises(ValueError):
         initialize(reg, 0)
+
+
+def test_initialize_takes_an_integer_trial_count():
+    qubits = [Balanced(0.0), Balanced(1.0)]
+    reg = fresh_register(qubits)
+    for trials in (100.0, 100.5, np.float64(100.0)):
+        with pytest.raises(TypeError):
+            initialize(reg, trials)
+    assert reg.stream.position == 0
+    accepted = initialize(reg, np.int64(100))
+    assert np.array_equal(accepted.bits, initialize(fresh_register(qubits), 100).bits)
+    assert type(len(accepted)) is int and type(reg.stream.position) is int
 
 
 def test_shared_phase_correlation_between_qubits():
@@ -145,11 +154,10 @@ def test_blocked_initialize_equals_one_unblocked_take(kind, signal_index):
 
     reference = make_phase_stream(model)
     reference.skip(13)
-    t, phi = reference.take(trials)
+    _, phi = reference.take(trials)
     bits = _trial_bits(qubits, phi)
     keep = bits[signal_index] == 0
-    assert 0 < keep.sum() < trials
-    assert np.array_equal(accepted.t, t[keep])
+    assert 0 < len(accepted) == keep.sum() < trials
     assert np.array_equal(accepted.bits, bits[:, keep])
 
 
@@ -158,7 +166,7 @@ def test_initialize_evaluates_no_cosine_per_trial(kind, monkeypatch):
     qubits = [Balanced(k * math.pi / 8) for k in range(8)]
     model = PhaseModel(kind=kind, seed=5)
     trials = 70001
-    t, phi = make_phase_stream(model).take(trials)
+    _, phi = make_phase_stream(model).take(trials)
     bits = np.stack([(np.cos(phi + q.alpha) < 0.0).view(np.int8) for q in qubits])
     keep = bits[0] == 0
 
@@ -172,7 +180,6 @@ def test_initialize_evaluates_no_cosine_per_trial(kind, monkeypatch):
     monkeypatch.setattr(np, "cos", counting)
     accepted = initialize(VirtualRegister(qubits, make_phase_stream(model)), trials)
     assert sum(evaluated) == 0
-    assert np.array_equal(accepted.t, t[keep])
     assert np.array_equal(accepted.bits, bits[:, keep])
 
 
@@ -185,7 +192,8 @@ def test_initialize_memory_does_not_grow_with_records():
     finally:
         tracemalloc.stop()
     assert 400_000 < len(accepted) < 600_000
-    assert peak < 32 * 2**20
+    assert accepted.bits.nbytes == 8 * len(accepted)
+    assert peak < 12 * 2**20
 
 
 @pytest.mark.parametrize("signal_index", [0, 1])
@@ -193,16 +201,15 @@ def test_accepted_trials_contract(signal_index):
     qubits = [Balanced(0.0), Balanced(1.1), Definite(1)]
     accepted = initialize(fresh_register(qubits, seed=6, signal_index=signal_index), 50)
     assert isinstance(accepted, AcceptedTrials)
-    assert 2 < len(accepted) == accepted.t.size == accepted.bits.shape[1] < 50
-    assert accepted.t.dtype == np.int64 and accepted.bits.dtype == np.int8
-    assert accepted.bits.shape[0] == 3
+    assert [f.name for f in dataclasses.fields(accepted)] == ["bits"]
+    assert 2 < len(accepted) == accepted.bits.shape[1] < 50
+    assert accepted.bits.dtype == np.int8 and accepted.bits.shape[0] == 3
     assert np.all(accepted.bits[signal_index] == 0)
 
 
 def test_no_accepted_trial_gives_empty_columns():
     accepted = initialize(fresh_register([Definite(1), Balanced(0.5)]), 100)
     assert len(accepted) == 0
-    assert accepted.t.shape == (0,) and accepted.t.dtype == np.int64
     assert accepted.bits.shape == (2, 0) and accepted.bits.dtype == np.int8
 
 
@@ -213,8 +220,8 @@ def test_hadamard_balanced_becomes_definite_zero():
 
 
 def test_hadamard_definite_becomes_balanced():
-    assert hadamard(Definite(0), default_alpha=0.4) == Balanced(0.4)
-    assert hadamard(Definite(1), default_alpha=0.4) == Balanced(0.4)
+    assert hadamard(Definite(0)) == Balanced(0.0)
+    assert hadamard(Definite(1)) == Balanced(0.0)
 
 
 def test_hadamard_balanced_rule_holds_for_every_angle():

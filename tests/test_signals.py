@@ -482,3 +482,22 @@ def test_from_product_sum_validation():
         CorrelationEstimate.from_product_sum(0, 0)
     with pytest.raises(ValueError):
         CorrelationEstimate.from_product_sum(11, 10)
+
+
+@pytest.mark.parametrize("kind", ["iid", "oscillator"])
+def test_estimate_counts_must_be_integers(kind):
+    model = PhaseModel(kind=kind, seed=4)
+    stream = make_phase_stream(model)
+    for n in (10.0, 10.5, np.float64(10.0)):
+        with pytest.raises(TypeError):
+            estimate_correlation(stream, 0.0, 0.5, n)
+        with pytest.raises(TypeError):
+            sign_product_sums(stream, ((0.0, 0.5),), n)
+        with pytest.raises(TypeError):
+            CorrelationEstimate.from_product_sum(4, n)
+    assert stream.position == 0
+    # a numpy integer count gives the estimate of the equal int, in Python numbers
+    est = estimate_correlation(stream, 0.0, 0.5, np.int64(10))
+    assert est == estimate_correlation(make_phase_stream(model), 0.0, 0.5, 10)
+    assert [type(v) for v in (est.mean, est.stderr, est.n)] == [float, float, int]
+    assert stream.position == 10 and type(stream.position) is int

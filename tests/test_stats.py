@@ -120,6 +120,24 @@ def test_chsh_classical_validation():
         chsh_classical(PhaseModel(seed=0), *CANONICAL, 0)
 
 
+@pytest.mark.parametrize("shared_trials", [True, False])
+def test_curve_and_chsh_take_integer_trial_counts(shared_trials):
+    model = PhaseModel(kind=OSCILLATOR_ENSEMBLE, seed=3)
+    for n in (100.0, 100.5, np.float64(100.0)):
+        with pytest.raises(TypeError):
+            chsh_classical(model, *CANONICAL, n, shared_trials=shared_trials)
+        with pytest.raises(TypeError):
+            correlation_curve(model, [0.0, 1.0], n)
+    # an int64 count would overflow the oscillator's closed-form count and n**3
+    n = 2**21
+    result = chsh_classical(model, *CANONICAL, np.int64(n), shared_trials=shared_trials)
+    assert result == chsh_classical(model, *CANONICAL, n, shared_trials=shared_trials)
+    assert type(result.s_value) is float and type(result.s_stderr) is float
+    assert [type(t.n) for t in result.terms] == [int] * 4
+    curve = correlation_curve(model, [0.0, 1.0], np.int64(n))
+    assert curve == correlation_curve(model, [0.0, 1.0], n)
+
+
 @pytest.mark.parametrize("kind", [IID_UNIFORM, OSCILLATOR_ENSEMBLE])
 @pytest.mark.parametrize(
     "estimate",
