@@ -164,10 +164,22 @@ _RUNNERS = {
 }
 
 
+def _check_out(out_path: str) -> None:
+    """Refuse an output path that cannot be written, before any trial is counted."""
+    if out_path == STDOUT_SENTINEL:
+        return
+    path = Path(out_path)
+    if path.is_dir():
+        raise ConfigError(f"out path {out_path!r} is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"out path {out_path!r} is not in an existing directory")
+
+
 def run(config: ExperimentConfig) -> int:
     """Execute one experiment; returns the process exit code (0, 1 or 2)."""
     try:
         config = validate_config(config)
+        _check_out(config.out)
     except ConfigError as exc:
         print(f"phasebit: config error: {exc}", file=sys.stderr)
         return 2

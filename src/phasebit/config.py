@@ -9,6 +9,8 @@ round-trips exactly through ``parse_config``.  ``KEYS`` lists every key once.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import os
 import re
 from dataclasses import asdict, dataclass, fields
@@ -190,32 +192,44 @@ def _experiment(*, command=None, trials=10_000, angles=None, **values) -> Experi
     return ExperimentConfig(command, trials=trials, angles=angles, **values)
 
 
+def _integer(name: str, value: Any) -> int:
+    """An integer field as a Python int; a float or any other type is a config error."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 def validate_config(config: ExperimentConfig) -> ExperimentConfig:
-    """Check cross-field constraints; returns the config unchanged."""
+    """Check field types and cross-field constraints; returns the config unchanged."""
     if config.command not in COMMANDS:
         raise ConfigError(f"unknown command {config.command!r}")
     if config.format not in FORMATS:
         raise ConfigError(f"unknown format {config.format!r}; expected one of {FORMATS}")
-    if config.trials < 1:
+    trials = _integer("trials", config.trials)
+    if trials < 1:
         raise ConfigError("trials must be >= 1")
     if not config.out:
         raise ConfigError(f"out path must not be empty; use {STDOUT_SENTINEL!r} for stdout")
-    if not 1 <= config.workers <= MAX_WORKERS:
+    if not 1 <= _integer("workers", config.workers) <= MAX_WORKERS:
         raise ConfigError(f"workers must be in 1..{MAX_WORKERS}")
+    signal_index = _integer("signal_index", config.signal_index)
     if not config.angles:
         raise ConfigError("angle list must not be empty")
+    if any(not isinstance(a, numbers.Real) for a in config.angles):
+        raise ConfigError("angles must be real numbers")
     if any(not math.isfinite(a) for a in config.angles):
         raise ConfigError("angles must be finite")
     # the oscillator wraps burn_in mod 2**64, so only the trial count can overflow
-    if config.trials * len(config.angles) > 2**63 - 1:
+    if trials * len(config.angles) > 2**63 - 1:
         raise ConfigError("trials * len(angles) exceeds the int64 trial index")
     if config.command == "chsh" and len(config.angles) != 4:
         raise ConfigError(
             f"chsh needs exactly 4 angles (a1, a2, b1, b2), got {len(config.angles)}"
         )
-    if config.command == "init" and not 0 <= config.signal_index < len(config.angles):
+    if config.command == "init" and not 0 <= signal_index < len(config.angles):
         raise ConfigError(
-            f"signal_index {config.signal_index} outside the {len(config.angles)}-qubit register"
+            f"signal_index {signal_index} outside the {len(config.angles)}-qubit register"
         )
     return config
 

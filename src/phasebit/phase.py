@@ -14,12 +14,15 @@ and share one conversion to radians:
 
 A phase is ``k / PHASE_STEPS`` of a turn, where the step ``k`` is the top 53
 bits of its uint64 turns, so a trial's step is below ``e`` exactly when its
-turns are below ``e << 11``.  :func:`steps_below` counts a stream's trials
-below given steps in that integer domain, for both models: the ``iid``
-count hashes each block of ``BLOCK_TRIALS`` counters in buffers reused
-across blocks and compares the turns, converting none to radians; the
-``oscillator``'s turns along a stream form an arithmetic progression mod
-``2**64``, so its count is a closed form and generates no turn at all.
+turns are below ``e << 11``.  :func:`steps_below` counts, for each of a
+list of stream windows, the trials below given steps in that integer
+domain, for both models.  The ``iid`` windows of one call are hashed
+together and compared as turns, converting none to radians: in Python
+ints when they total at most ``BLOCK_TRIALS`` trials and numpy is not
+loaded, otherwise in numpy blocks of ``BLOCK_TRIALS`` counters whose
+buffers all the windows share.  The ``oscillator``'s turns along a stream
+form an arithmetic progression mod ``2**64``, so its count is a closed
+form and generates no turn at all.
 
 Because a phase is a pure function of ``(model, trial index)``, streams are
 reproducible bit-for-bit across runs and platforms, and leapfrog substreams
@@ -27,17 +30,23 @@ partition the serial sequence exactly.  That is what lets each curve point
 and each independent CHSH correlator draw its own trials from one seed;
 each of them counts its trials in one serial pass.
 
-numpy is imported only by the functions that build arrays: the ``iid``
-count, :func:`phases_at`, :meth:`PhaseStream.take` and
-:func:`ensemble_frequencies`.  The oscillator's rate sum is hashed in Python
-ints, so an oscillator count runs without numpy.
+numpy is imported only by the functions that build arrays,
+:func:`phases_at`, :meth:`PhaseStream.take` and
+:func:`ensemble_frequencies`, and by an ``iid`` count over more than one
+block of trials, or any ``iid`` count once numpy is loaded: hashing one
+block in Python ints costs less than importing numpy.  The oscillator's
+rate sum is hashed in Python ints, so an oscillator count runs without
+numpy.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -319,54 +328,100 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
         m, a = a, m
 
 
-def steps_below(stream: PhaseStream, n: int, steps: Sequence[int]) -> list[int]:
-    """How many of the stream's next ``n`` trials have a step below each of ``steps``.
+def steps_below(windows: Sequence[tuple[PhaseStream, int, Sequence[int]]]) -> list[list[int]]:
+    """Count, per window ``(stream, n, steps)``, the next ``n`` trials with a step below each step.
 
     A trial's step is below ``e`` exactly when its uint64 turns are below
     ``e << 11``, so both models count turns and convert none to radians.
     ``PHASE_STEPS << 11`` is ``2**64``, above every turn, so that step counts
-    all ``n`` trials.  The window and the steps are checked before any work:
-    trial indices that would reach ``2**63`` raise ``ValueError``, as in
-    :meth:`PhaseStream.take`.  The cursor does not move.
+    all ``n`` trials.  Every window is checked before any work: trial
+    indices that would reach ``2**63`` raise ``ValueError``, as in
+    :meth:`PhaseStream.take`.  No cursor moves.
+
+    The ``iid`` windows are counted together: in Python ints when they total
+    at most ``BLOCK_TRIALS`` trials and numpy is not loaded yet, since
+    hashing one block costs less than importing numpy; in numpy blocks
+    otherwise.  Both give the same counts.
     """
-    n = count_at_least("n", n, 0)
-    first = stream._window(n)
-    limits = []
-    for step in steps:
-        if not 0 <= step <= PHASE_STEPS:
-            raise ValueError(f"step {step} outside 0..{PHASE_STEPS}")
-        limits.append(step << _STEP_SHIFT)
-    if stream.model.kind == OSCILLATOR_ENSEMBLE:
-        return _oscillator_turns_below(stream.model, first, stream.stride, n, limits)
-    return _iid_turns_below(stream.model, first, stream.stride, n, limits)
+    checked = []
+    for stream, n, steps in windows:
+        n = count_at_least("n", n, 0)
+        first = stream._window(n)
+        limits = []
+        for step in steps:
+            if not 0 <= step <= PHASE_STEPS:
+                raise ValueError(f"step {step} outside 0..{PHASE_STEPS}")
+            limits.append(step << _STEP_SHIFT)
+        checked.append((stream.model, first, stream.stride, n, limits))
+    iid = [w for w in checked if w[0].kind == IID_UNIFORM]
+    if sum(w[3] for w in iid) <= BLOCK_TRIALS and "numpy" not in sys.modules:
+        count_iid = _iid_turns_below_int
+    else:
+        count_iid = _iid_turns_below
+    iid_counts = iter(count_iid(iid))
+    return [
+        _oscillator_turns_below(*w) if w[0].kind == OSCILLATOR_ENSEMBLE else next(iid_counts)
+        for w in checked
+    ]
 
 
-def _iid_turns_below(
-    model: PhaseModel, first: int, stride: int, n: int, limits: list[int]
-) -> list[int]:
+def _iid_turns_below_int(windows: list[tuple]) -> list[list[int]]:
+    """:func:`_iid_turns_below` in Python ints, one splitmix64 at a time.
+
+    Each trial's turns fall in one bin of the sorted distinct limits, and a
+    limit's count is the sum of the bins below it, so the limits may come
+    in any order, repeat, or be ``0`` or ``2**64``.
+    """
+    mask, mix1, mix2 = _TURN - 1, _MIX1, _MIX2
+    counts = []
+    for model, first, stride, n, limits in windows:
+        cuts = sorted(set(limits))
+        bins = [0] * (len(cuts) + 1)
+        # _hash64_int inlined; trial first + stride*j hashes
+        # (first + 1)*GAMMA + seed + j*(stride*GAMMA)
+        z = ((first + 1) * _GAMMA + model.seed) & mask
+        step = stride * _GAMMA & mask
+        for _ in range(n):
+            x = (z ^ z >> 30) * mix1 & mask
+            x = (x ^ x >> 27) * mix2 & mask
+            bins[bisect.bisect_right(cuts, x ^ x >> 31)] += 1
+            z = z + step & mask
+        below = dict(zip(cuts, itertools.accumulate(bins)))
+        counts.append([below[c] for c in limits])
+    return counts
+
+
+def _iid_turns_below(windows: list[tuple]) -> list[list[int]]:
     """Trials ``first + stride*j``, ``j < n``, whose splitmix64 turns are below each limit.
 
-    Trial ``t`` hashes ``(t + 1)*GAMMA + seed``, which for ``t = first +
-    stride*(done + j)`` is the block's offset plus ``j*(stride*GAMMA)`` mod
-    ``2**64``.  So the ramp ``j*(stride*GAMMA)`` is built once, and each block
-    of ``BLOCK_TRIALS`` trials is one add, :func:`_mix` and one compare per
-    limit, all in buffers allocated once per call.
+    Each window is ``(model, first, stride, n, limits)``.  Trial ``t``
+    hashes ``(t + 1)*GAMMA + seed``, which for ``t = first + stride*(done +
+    j)`` is the block's offset plus ``j*(stride*GAMMA)`` mod ``2**64``.  So
+    the ramp ``j*(stride*GAMMA)`` is built once per stride, and each block of
+    ``BLOCK_TRIALS`` trials is one add, :func:`_mix` and one compare per
+    limit, all in buffers allocated once per call and shared by its windows.
     """
     import numpy as np
 
-    below = [n if c == _TURN else 0 for c in limits]
-    compared = [(i, np.uint64(c)) for i, c in enumerate(limits) if c < _TURN]
-    ramp = np.arange(min(n, BLOCK_TRIALS), dtype=np.uint64)
-    ramp *= np.uint64(stride * _GAMMA % _TURN)
-    z, scratch = np.empty_like(ramp), np.empty_like(ramp)
-    mask = np.empty(ramp.shape, dtype=bool)
-    for done in range(0, n, BLOCK_TRIALS):
-        size = min(BLOCK_TRIALS, n - done)
-        offset = np.uint64(((first + stride * done + 1) * _GAMMA + model.seed) % _TURN)
-        turns = _mix(np.add(ramp[:size], offset, out=z[:size]), scratch[:size])
-        for i, c in compared:
-            below[i] += int(np.count_nonzero(np.less(turns, c, out=mask[:size])))
-    return below
+    size = min(max((w[3] for w in windows), default=0), BLOCK_TRIALS)
+    z, scratch = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+    mask = np.empty(size, dtype=bool)
+    ramp_stride = ramp = None
+    counts = []
+    for model, first, stride, n, limits in windows:
+        below = [n if c == _TURN else 0 for c in limits]
+        compared = [(i, np.uint64(c)) for i, c in enumerate(limits) if c < _TURN]
+        if n and stride != ramp_stride:
+            ramp_stride, ramp = stride, np.arange(size, dtype=np.uint64)
+            ramp *= np.uint64(stride * _GAMMA % _TURN)
+        for done in range(0, n, BLOCK_TRIALS):
+            block = min(BLOCK_TRIALS, n - done)
+            offset = np.uint64(((first + stride * done + 1) * _GAMMA + model.seed) % _TURN)
+            turns = _mix(np.add(ramp[:block], offset, out=z[:block]), scratch[:block])
+            for i, c in compared:
+                below[i] += int(np.count_nonzero(np.less(turns, c, out=mask[:block])))
+        counts.append(below)
+    return counts
 
 
 def _oscillator_turns_below(

@@ -22,12 +22,15 @@ the step grows, so each run starts at the first step whose sum reaches one
 of ``COS_SIGN_EDGES``, found once per angle by bisecting on the step.  A
 trial's step is below edge ``e`` exactly when its uint64 turns are below
 ``e << 11``, so :func:`~phasebit.phase.steps_below` counts the trials below
-each edge in turns, for both models: in blocks of hashed counters for
-``iid``, in closed form for the ``oscillator``, at any trial count.  The
-signal on each run is read from :func:`dichotomic` at the run's first phase.
-Counts and ``+-1`` product sums are Python ints, so the result does not
-depend on the blocking or the counting method, and the kernel itself needs
-no numpy: only the ``iid`` count and :func:`dichotomic_array` import it.
+each edge in turns, for both models: in hashed counters for ``iid``, in
+closed form for the ``oscillator``, at any trial count.
+:func:`sign_product_sums` counts every window it is given in one such call.
+The signal on each run is read from :func:`dichotomic` at the run's first
+phase.  Counts and ``+-1`` product sums are Python ints, so the result does
+not depend on the blocking or the counting method.  The kernel itself needs
+no numpy: only :func:`dichotomic_array` imports it, and the ``iid`` count
+does when its windows total more than one block of trials or numpy is
+already loaded.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .phase import PHASE_STEPS, PhaseStream, count_at_least, step_phase, steps_below, wrap_angle
 from .phase import chunk_quota, substream  # unused here; bench/layer_trace.py wraps them by these names
@@ -145,32 +148,41 @@ def sign_edges(alpha: float) -> tuple[int, ...]:
 
 
 def sign_product_sums(
-    stream: PhaseStream, pairs: tuple[tuple[float, float], ...], n: int
-) -> list[int]:
-    """Exact sums of ``s(x) * s(y)`` over the next ``n`` trials, one per pair ``(x, y)``.
+    windows: Sequence[tuple[PhaseStream, Sequence[tuple[float, float]], int]],
+) -> list[list[int]]:
+    """Exact sums of ``s(x) * s(y)`` per window ``(stream, pairs, n)``: one per pair ``(x, y)``.
 
-    Angles are wrapped to ``(-pi, pi]`` first.  The union of the angles'
+    Each window sums over its stream's next ``n`` trials.  Angles are
+    wrapped to ``(-pi, pi]`` first.  The union of a window's angles'
     :func:`sign_edges` cuts the steps into runs on which every signal is
-    constant, and :func:`~phasebit.phase.steps_below` counts the trials
-    below each edge: blocks of ``BLOCK_TRIALS`` hashed counters for ``iid``,
-    O(log) big-integer steps per edge for the ``oscillator``.  One
+    constant, and one :func:`~phasebit.phase.steps_below` call counts every
+    window's trials below its edges: hashed counters for ``iid``, O(log)
+    big-integer steps per edge for the ``oscillator``.  One
     :func:`dichotomic` call per angle and run, at the run's first phase,
     gives the signals, and each sum is the run counts weighted by
     ``s(x) * s(y)``.  Integer counts make the result independent of the
-    blocking and the counting method.  A window whose trial indices would
-    reach ``2**63`` raises ``ValueError`` before any work.  The
-    stream's cursor advances by ``n``.
+    blocking and the counting method.  Every window is checked before any
+    work: one whose trial indices would reach ``2**63`` raises
+    ``ValueError``.  Each stream's cursor then advances by its ``n``.
     """
-    n = count_at_least("n", n, 1)
-    pairs = [(wrap_angle(x), wrap_angle(y)) for x, y in pairs]
-    angles = dict.fromkeys(a for pair in pairs for a in pair)
-    edges = sorted(set().union(*(sign_edges(a) for a in angles)))
-    below = steps_below(stream, n, edges)
-    stream.skip(n)
-    runs = [hi - lo for lo, hi in zip([0, *below], [*below, n])]
-    first_phases = [0.0, *(step_phase(k) for k in edges)]
-    signs = {a: [dichotomic(phi, a) for phi in first_phases] for a in angles}
-    return [sum(r * sx * sy for r, sx, sy in zip(runs, signs[x], signs[y])) for x, y in pairs]
+    checked = []
+    for stream, pairs, n in windows:
+        n = count_at_least("n", n, 1)
+        pairs = [(wrap_angle(x), wrap_angle(y)) for x, y in pairs]
+        angles = dict.fromkeys(a for pair in pairs for a in pair)
+        edges = sorted(set().union(*(sign_edges(a) for a in angles)))
+        checked.append((stream, pairs, n, angles, edges))
+    counts = steps_below([(stream, n, edges) for stream, _, n, _, edges in checked])
+    sums = []
+    for (stream, pairs, n, angles, edges), below in zip(checked, counts):
+        stream.skip(n)
+        runs = [hi - lo for lo, hi in zip([0, *below], [*below, n])]
+        first_phases = [0.0, *(step_phase(k) for k in edges)]
+        signs = {a: [dichotomic(phi, a) for phi in first_phases] for a in angles}
+        sums.append(
+            [sum(r * sx * sy for r, sx, sy in zip(runs, signs[x], signs[y])) for x, y in pairs]
+        )
+    return sums
 
 
 def estimate_correlation(
@@ -183,5 +195,5 @@ def estimate_correlation(
 
     The trials are consumed from ``stream`` (its cursor advances by ``n``).
     """
-    (total,) = sign_product_sums(stream, ((alpha1, alpha2),), n)
+    ((total,),) = sign_product_sums([(stream, ((alpha1, alpha2),), n)])
     return CorrelationEstimate.from_product_sum(total, n)

@@ -15,13 +15,9 @@ from typing import NamedTuple, Sequence
 
 from .phase import TWO_PI, PhaseModel, count_at_least, make_phase_stream, substream
 from .phase import chunk_quota  # unused here; bench/layer_trace.py wraps it by this name
-from .signals import (
-    CorrelationEstimate,
-    analytic_correlation,
-    dichotomic_array,  # unused here; bench/layer_trace.py wraps it by this name
-    estimate_correlation,
-    sign_product_sums,
-)
+from .signals import CorrelationEstimate, analytic_correlation, sign_product_sums
+# unused here; bench/layer_trace.py wraps them by these names
+from .signals import dichotomic_array, estimate_correlation
 
 
 @dataclass(frozen=True)
@@ -64,18 +60,18 @@ def correlation_curve(model: PhaseModel, deltas: Sequence[float], n: int) -> lis
     """Estimated vs analytic correlation over a grid of angle separations.
 
     Each grid point runs on its own leapfrog substream of one base stream,
-    so the whole curve is reproducible from the model alone.
+    so the whole curve is reproducible from the model alone.  All points are
+    counted in one :func:`~phasebit.signals.sign_product_sums` call.
     """
     deltas = [float(d) for d in deltas]
     if not deltas:
         raise ValueError("deltas must be non-empty")
     base = make_phase_stream(model)
-    points = []
-    for i, delta in enumerate(deltas):
-        sub = substream(base, i, len(deltas))
-        est = estimate_correlation(sub, 0.0, delta, n)
-        points.append(CurvePoint(delta, analytic_correlation(delta), est))
-    return points
+    windows = [(substream(base, i, len(deltas)), ((0.0, d),), n) for i, d in enumerate(deltas)]
+    return [
+        CurvePoint(d, analytic_correlation(d), CorrelationEstimate.from_product_sum(total, n))
+        for d, (total,) in zip(deltas, sign_product_sums(windows))
+    ]
 
 
 def chsh_classical(
@@ -100,16 +96,16 @@ def chsh_classical(
     pairs = tuple((a, b) for a in angles[:2] for b in angles[2:])
     base = make_phase_stream(model)
     if shared_trials:
-        totals = sign_product_sums(base, pairs, n)
+        (totals,) = sign_product_sums([(base, pairs, n)])
         terms = tuple(CorrelationEstimate.from_product_sum(tot, n) for tot in totals)
         # the four terms share every phase, so their errors do not add in quadrature
         s_total = totals[0] - totals[1] + totals[2] + totals[3]
         s_stderr = math.sqrt((4 * n * n - s_total * s_total) / n**3)
     else:
-        terms = tuple(
-            estimate_correlation(substream(base, k, 4), x, y, n)
-            for k, (x, y) in enumerate(pairs)
+        sums = sign_product_sums(
+            [(substream(base, k, 4), (pair,), n) for k, pair in enumerate(pairs)]
         )
+        terms = tuple(CorrelationEstimate.from_product_sum(total, n) for (total,) in sums)
         s_stderr = math.sqrt(sum(t.stderr**2 for t in terms))
     s_value = terms[0].mean - terms[1].mean + terms[2].mean + terms[3].mean
     return ChshResult(angles, terms, s_value, s_stderr)

@@ -176,12 +176,12 @@ def test_env_seed_matches_explicit_seed(tmp_path, monkeypatch):
 
 # -------------------------------------------------------------- exit codes
 
-def test_unwritable_path_is_runtime_failure(capsys):
-    code, _, err = run_cli(
+def test_out_path_in_a_missing_directory_is_a_config_error(capsys):
+    code, out, err = run_cli(
         ["curve", "--trials", "100", "--out", "/nonexistent-dir/x.csv"], capsys
     )
-    assert code == 1
-    assert err.startswith("phasebit:")
+    assert code == 2 and out == ""
+    assert err.startswith("phasebit: config error:") and "out path" in err
 
 
 def test_empty_out_path_is_config_error(capsys):
@@ -266,6 +266,40 @@ def test_run_validates_its_config(capsys):
         command="chsh", model=PhaseModel(seed=0), trials=10, angles=(0.0,)
     )
     assert run(config) == 2
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"trials": 100.5},
+        {"trials": 100.0},
+        {"command": "init", "angles": (0.0, 1.0), "signal_index": 0.5},
+        {"workers": 1.5},
+        {"angles": (0.0, "x")},
+    ],
+    ids=["trials", "trials-float", "signal_index", "workers", "angle"],
+)
+def test_run_refuses_a_library_config_with_a_non_integer_or_non_real_field(fields, capsys):
+    config = ExperimentConfig(
+        **{"command": "curve", "model": PhaseModel(seed=0), "trials": 10, "angles": (0.0,),
+           **fields}
+    )
+    assert run(config) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("phasebit: config error:")
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_an_unwritable_out_path_is_refused_before_any_trial(where, tmp_path, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setitem(cli._RUNNERS, "curve", (lambda config: ran.append(config), "curve"))
+    out = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+    code, stdout, err = run_cli(["curve", "--trials", "2000000", "--out", str(out)], capsys)
+    assert code == 2
+    assert stdout == "" and err.startswith("phasebit: config error:")
+    assert ran == []
+    assert list(tmp_path.iterdir()) == []
 
 
 # A valid value for each key that differs from its default under `init`.

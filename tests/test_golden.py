@@ -80,6 +80,40 @@ def test_numpy_free_commands_match_golden_bytes_without_numpy(name):
     assert done.stdout == (GOLDEN / name).read_bytes()
 
 
+# iid commands whose windows total at most BLOCK_TRIALS = 65536 trials hash them in Python ints
+ONE_BLOCK_IID = {
+    "chsh": ["chsh", "--model", "iid", "--seed", SEED, "--trials", "65536"],
+    "curve-17x3855": ["curve", "--model", "iid", "--seed", SEED, "--trials", "3855"],
+    "compare-json": ["compare", "--model", "iid", "--seed", SEED, "--trials", "100",
+                     "--format", "json"],
+    "chsh-independent": ["chsh", "--model", "iid", "--seed", SEED, "--trials", "16384",
+                         "--independent-trials"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_BLOCK_IID))
+def test_one_block_iid_commands_print_the_numpy_bytes_without_numpy(name, tmp_path):
+    out = tmp_path / name
+    assert main([*ONE_BLOCK_IID[name], "--out", str(out)]) == 0  # numpy is loaded in here
+    done = run_without_site(["-m", "phasebit", *ONE_BLOCK_IID[name]])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == out.read_bytes()
+
+
+def test_an_iid_command_past_one_block_counts_with_numpy(tmp_path):
+    # 17 points * 3856 trials = 65552 trials, one block and 16 trials
+    argv = ["curve", "--model", "iid", "--seed", SEED, "--trials", "3856",
+            "--out", str(tmp_path / "curve.csv")]
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from phasebit.cli import main; "
+         "assert 'numpy' not in sys.modules; assert main(sys.argv[1:]) == 0; "
+         "sys.exit('numpy' not in sys.modules)", *argv],
+        capture_output=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def run_demo(demo: Path) -> bytes:
     """The demo's standard output; a ``RuntimeWarning`` or a failure raises."""
     path = os.environ.get("PYTHONPATH")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from phasebit import (
     IID_UNIFORM,
@@ -267,7 +267,7 @@ def test_steps_below_oscillator_match_a_big_int_enumeration(burn_in, stride, chu
         (r * (chunk + stride * (cursor + j) + burn_in)) % 2**64 >> 11 for j in range(n)
     ]
     expected = [sum(k < e for k in steps) for e in OSCILLATOR_EDGES]
-    assert steps_below(stream, n, OSCILLATOR_EDGES) == expected
+    assert steps_below([(stream, n, OSCILLATOR_EDGES)])[0] == expected
     assert stream.position == cursor
 
 
@@ -279,7 +279,7 @@ def test_steps_below_iid_match_a_big_int_splitmix64_enumeration(seed):
     stream.skip(cursor)
     steps = [_splitmix64(seed, start + stride * (cursor + j)) >> 11 for j in range(n)]
     expected = [sum(k < e for k in steps) for e in OSCILLATOR_EDGES]
-    assert steps_below(stream, n, OSCILLATOR_EDGES) == expected
+    assert steps_below([(stream, n, OSCILLATOR_EDGES)])[0] == expected
     assert stream.position == cursor
 
 
@@ -295,7 +295,7 @@ def test_iid_steps_below_equal_the_step_counts_of_phases_at(at_end, stride, seed
     # steps 0 and PHASE_STEPS count no trial and every trial; PHASE_STEPS << 11 is 2**64
     edges = {e for alpha in (0.0, 0.7, -1.0, math.pi) for e in sign_edges(alpha)}
     steps = sorted({0, PHASE_STEPS} | edges)
-    below = steps_below(stream, n, steps)
+    below = steps_below([(stream, n, steps)])[0]
     assert stream.position == cursor
     t, phi = stream.take(n)
     assert t[-1] == (2**63 - 1 if at_end else start + stride * (cursor + n - 1))
@@ -309,16 +309,27 @@ def test_iid_steps_below_equal_the_step_counts_of_phases_at(at_end, stride, seed
 def test_steps_below_refuses_a_window_past_2pow63_before_any_work(model, monkeypatch):
     if model.kind == OSCILLATOR_ENSEMBLE:
         phase_module._rate_turns(model)  # its one-off rate draw hashes too
-    mixed = []
+    mixed, counted = [], []
     monkeypatch.setattr(phase_module, "_mix", lambda z, scratch: mixed.append(len(z)))
+    for name in ("_iid_turns_below", "_iid_turns_below_int", "_oscillator_turns_below"):
+        monkeypatch.setattr(phase_module, name, lambda *args, name=name: counted.append(name))
     # the first block's trials are valid; the window's last trial is past 2**63
     stream = PhaseStream(model, start=2**63 - BLOCK_TRIALS - 10)
     with pytest.raises(ValueError):
-        steps_below(stream, 2 * BLOCK_TRIALS, [1, 2**52])
+        steps_below([(stream, 2 * BLOCK_TRIALS, [1, 2**52])])
     with pytest.raises(ValueError):
-        sign_product_sums(stream, ((0.0, 1.0),), 2 * BLOCK_TRIALS)
-    assert stream.position == 0
-    assert mixed == []
+        sign_product_sums([(stream, ((0.0, 1.0),), 2 * BLOCK_TRIALS)])
+    # a bad last window stops the call before its valid first windows are counted
+    good = [make_phase_stream(model), PhaseStream(model, start=5, stride=3)]
+    for n in (1, 2 * BLOCK_TRIALS):
+        with pytest.raises(ValueError):
+            steps_below([(good[0], n, [2**52]), (good[1], n, [1]), (stream, 2 * BLOCK_TRIALS, [1])])
+        with pytest.raises(ValueError):
+            sign_product_sums(
+                [(s, ((0.0, 1.0),), n) for s in good] + [(stream, ((0.0, 1.0),), 2 * BLOCK_TRIALS)]
+            )
+    assert [s.position for s in (stream, *good)] == [0, 0, 0]
+    assert mixed == [] and counted == []
 
 
 @pytest.mark.parametrize("model", BOTH_MODELS, ids=["iid", "oscillator"])
@@ -326,8 +337,8 @@ def test_steps_below_rejects_bad_steps_and_counts(model):
     stream = make_phase_stream(model)
     for n, steps in ((-1, [1]), (10, [-1]), (10, [PHASE_STEPS + 1]), (10, [1, PHASE_STEPS + 1])):
         with pytest.raises(ValueError):
-            steps_below(stream, n, steps)
-    assert steps_below(stream, 0, [0, 1, PHASE_STEPS]) == [0, 0, 0]
+            steps_below([(stream, n, steps)])
+    assert steps_below([(stream, 0, [0, 1, PHASE_STEPS])])[0] == [0, 0, 0]
     assert stream.position == 0
 
 
@@ -345,8 +356,56 @@ def test_oscillator_rates_are_drawn_once_per_model(monkeypatch):
     phase_module._rate_turns.cache_clear()
     model = PhaseModel(kind=OSCILLATOR_ENSEMBLE, seed=20261018)
     for _ in range(2):
-        sign_product_sums(make_phase_stream(model), ((0.0, 1.0),), 3 * BLOCK_TRIALS)
+        sign_product_sums([(make_phase_stream(model), ((0.0, 1.0),), 3 * BLOCK_TRIALS)])
     assert calls == [model]
+
+
+LIMITS = st.one_of(
+    st.sampled_from([0, 1, 2**63, 2**64 - 2**11, 2**64]),
+    st.integers(0, PHASE_STEPS).map(lambda step: step << 11),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    start=st.integers(0, 2**62),
+    stride=st.integers(1, 2**40),
+    n=st.one_of(st.integers(1, 64), st.integers(1, BLOCK_TRIALS)),
+    near_end=st.booleans(),
+    limits=st.lists(LIMITS, max_size=8).flatmap(
+        lambda base: st.permutations(base + base[: len(base) // 2])
+    ),
+)
+@example(
+    seed=2**64 - 1, start=0, stride=2**40, n=BLOCK_TRIALS, near_end=True,
+    limits=[2**64, 0, 2**63, 2**63],
+)
+def test_python_int_count_equals_the_numpy_count_bit_for_bit(
+    seed, start, stride, n, near_end, limits
+):
+    # near_end puts the window's last trial at 2**63 - 1
+    first = 2**63 - 1 - stride * (n - 1) if near_end else start
+    # a limit equal to a trial's turns must not count that trial
+    hit = phase_module._hash64_int(seed, first + stride * (n - 1))
+    limits = [*limits, hit, hit + 1]
+    window = (PhaseModel(seed=seed), first, stride, n, limits)
+    (by_ints,) = phase_module._iid_turns_below_int([window])
+    (by_numpy,) = phase_module._iid_turns_below([window])
+    assert by_ints == by_numpy
+    assert [type(c) for c in by_ints] == [int] * len(limits)
+
+
+def test_one_numpy_call_counts_windows_of_several_strides_and_sizes():
+    windows = [
+        (PhaseModel(seed=s), first, stride, n, [2**62, 2**64, 0, 2**63])
+        for s, first, stride, n in [
+            (1, 0, 1, 2 * BLOCK_TRIALS + 3), (2, 9, 4, 10), (3, 5, 4, 0), (4, 2**62, 2**40, 700),
+        ]
+    ]
+    together = phase_module._iid_turns_below(windows)
+    assert together == [phase_module._iid_turns_below([w])[0] for w in windows]
+    assert together[1:] == phase_module._iid_turns_below_int(windows[1:])
 
 
 def _splitmix64(seed, counter):
@@ -512,9 +571,9 @@ COUNT_ENTRY_POINTS = {
     "stride": lambda value: PhaseStream(_IID, stride=value),
     "take": lambda value: make_phase_stream(_IID).take(value),
     "skip": lambda value: make_phase_stream(_IID).skip(value),
-    "steps_below_iid": lambda value: steps_below(make_phase_stream(_IID), value, [2**52]),
+    "steps_below_iid": lambda value: steps_below([(make_phase_stream(_IID), value, [2**52])]),
     "steps_below_oscillator":
-        lambda value: steps_below(make_phase_stream(_OSCILLATOR), value, [2**52]),
+        lambda value: steps_below([(make_phase_stream(_OSCILLATOR), value, [2**52])]),
     "substream_chunk_index": lambda value: substream(make_phase_stream(_IID), value, 4),
     "substream_num_chunks": lambda value: substream(make_phase_stream(_IID), 0, value),
     "chunk_quota_total": lambda value: chunk_quota(value, 0, 4),
@@ -548,6 +607,6 @@ def test_numpy_integer_counts_give_the_stream_of_the_equal_ints(kind):
     assert type(sub.start) is int and type(sub.stride) is int
     quota = chunk_quota(np.int64(10), np.int32(1), np.uint64(3))
     assert quota == 3 and type(quota) is int
-    below = steps_below(stream, np.int64(100), [2**52])
-    assert below == steps_below(stream, 100, [2**52])
+    below = steps_below([(stream, np.int64(100), [2**52])])[0]
+    assert below == steps_below([(stream, 100, [2**52])])[0]
     assert [type(v) for v in below] == [int]

@@ -265,7 +265,7 @@ def test_kernel_sums_equal_one_take_across_block_boundaries(kind, n):
     pairs = ((0.0, 0.7), (0.7, 2.5), (0.0, 0.0), (-1.0, math.pi))
     stream = make_phase_stream(model)
     stream.skip(11)  # start mid-sequence, off any block boundary
-    sums = sign_product_sums(stream, pairs, n)
+    (sums,) = sign_product_sums([(stream, pairs, n)])
     assert stream.position == 11 + n
 
     reference = make_phase_stream(model)
@@ -297,7 +297,7 @@ def test_kernel_sums_equal_one_unblocked_take(model, pairs):
     n = 2 * BLOCK_TRIALS + 7
     stream = make_phase_stream(model)
     stream.skip(1234)
-    sums = sign_product_sums(stream, tuple(pairs), n)
+    (sums,) = sign_product_sums([(stream, tuple(pairs), n)])
 
     reference = make_phase_stream(model)
     reference.skip(1234)
@@ -368,7 +368,7 @@ def test_kernel_evaluates_no_signal_per_trial(model, monkeypatch):
     per_call = []
     for n in (1, 3 * BLOCK_TRIALS + 5):
         evaluated.clear()
-        sign_product_sums(make_phase_stream(model), pairs, n)
+        sign_product_sums([(make_phase_stream(model), pairs, n)])
         per_call.append(sum(evaluated))
     assert per_call[0] == per_call[1] > 0
 
@@ -412,7 +412,7 @@ def test_iid_kernel_draws_the_serial_range_in_order(n, monkeypatch):
     start, stride, cursor = 5, 3, 17
     stream = PhaseStream(PhaseModel(seed=31), start=start, stride=stride)
     stream.skip(cursor)
-    sign_product_sums(stream, ((0.0, 0.7),), n)
+    sign_product_sums([(stream, ((0.0, 0.7),), n)])
     in_order = [t for trials in hashed for t in trials]
     assert in_order == [start + stride * (cursor + j) for j in range(n)]
 
@@ -473,7 +473,7 @@ def test_estimate_mean_is_average_of_unit_products():
 def test_kernel_rejects_bad_counts():
     stream = make_phase_stream(PhaseModel(seed=0))
     with pytest.raises(ValueError):
-        sign_product_sums(stream, ((0.0, 1.0),), 0)
+        sign_product_sums([(stream, ((0.0, 1.0),), 0)])
     assert stream.position == 0
 
 
@@ -492,7 +492,7 @@ def test_estimate_counts_must_be_integers(kind):
         with pytest.raises(TypeError):
             estimate_correlation(stream, 0.0, 0.5, n)
         with pytest.raises(TypeError):
-            sign_product_sums(stream, ((0.0, 0.5),), n)
+            sign_product_sums([(stream, ((0.0, 0.5),), n)])
         with pytest.raises(TypeError):
             CorrelationEstimate.from_product_sum(4, n)
     assert stream.position == 0
