@@ -39,7 +39,6 @@ from .phase import (
     PhaseModel,
     PhaseStream,
     chunk_quota,
-    ensemble_frequencies,
     make_phase_stream,
     phases_at,
     substream,
@@ -112,7 +111,6 @@ __all__ = [
     "default_angles",
     "dichotomic",
     "dichotomic_array",
-    "ensemble_frequencies",
     "estimate_correlation",
     "hadamard",
     "initialize",

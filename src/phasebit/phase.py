@@ -31,12 +31,11 @@ and each independent CHSH correlator draw its own trials from one seed;
 each of them counts its trials in one serial pass.
 
 numpy is imported only by the functions that build arrays,
-:func:`phases_at`, :meth:`PhaseStream.take` and
-:func:`ensemble_frequencies`, and by an ``iid`` count over more than one
-block of trials, or any ``iid`` count once numpy is loaded: hashing one
-block in Python ints costs less than importing numpy.  The oscillator's
-rate sum is hashed in Python ints, so an oscillator count runs without
-numpy.
+:func:`phases_at` and :meth:`PhaseStream.take`, and by an ``iid`` count
+over more than one block of trials, or any ``iid`` count once numpy is
+loaded: hashing one block in Python ints costs less than importing
+numpy.  The oscillator's rate sum is hashed in Python ints, so an
+oscillator count runs without numpy.
 """
 
 from __future__ import annotations
@@ -197,26 +196,14 @@ class PhaseModel:
                 raise ValueError("frequency_spread must give a finite rate sum that turns the phase")
 
 
-def ensemble_frequencies(model: PhaseModel) -> np.ndarray:
+def _rates(model: PhaseModel) -> Iterator[float]:
     """Per-oscillator angular rates, i.i.d. uniform on ``(0, frequency_spread]``.
 
-    Drawn once from the seed; the rates, not the phases, carry the model's
-    randomness.
-    """
-    import numpy as np
-
-    if model.kind != OSCILLATOR_ENSEMBLE:
-        raise ValueError("ensemble_frequencies only applies to the oscillator model")
-    steps = _steps(_hash64(model.seed ^ _FREQ_TAG, np.arange(model.ensemble_size)))
-    return model.frequency_spread * ((steps + 1.0) * _INV_2POW53)  # exact: steps + 1 <= 2**53
-
-
-def _rates(model: PhaseModel) -> Iterator[float]:
-    """The rates of :func:`ensemble_frequencies` as Python floats, hashed in Python ints.
-
-    The same operations in the same order, ``spread * ((k + 1) * 2**-53)``,
-    so the same floats; the order ``spread * (k + 1) * 2**-53`` would
-    overflow at a spread near the float maximum.
+    Drawn once from the seed, hashed in Python ints; the rates, not the
+    phases, carry the oscillator's randomness.  Rate ``k`` is
+    ``spread * ((s + 1) * 2**-53)`` for the 53-bit step ``s`` of the hash of
+    ``k``; the order ``spread * (s + 1) * 2**-53`` would overflow at a
+    spread near the float maximum.
     """
     key = model.seed ^ _FREQ_TAG
     for k in range(model.ensemble_size):

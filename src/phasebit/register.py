@@ -7,21 +7,26 @@ from the shared phase (the register is the coherence zone).  One designated
 signal qubit gates trial acceptance: bit 0 accepts the trial, bit 1 discards
 it, which post-selects the register into an initialized state.
 
-:func:`initialize` reads each block of phases once per Balanced qubit with
+:func:`initialize` first counts the accepted trials exactly from the
+signal qubit's :func:`~phasebit.signals.run_counts`, without drawing a
+phase, and allocates its output once at that size: one int8 column of
+``qubits`` bytes per accepted trial, with no trial index.  It then reads
+each block of phases once per Balanced qubit with
 :func:`~phasebit.signals.dichotomic_array`, which evaluates no cosine for a
-phase at a wrapped angle, and keeps only the bit columns of the accepted
-trials, one ``np.compress`` per block.  An accepted trial costs ``qubits``
-bytes; its trial index is not kept.  numpy is imported when
-:func:`initialize` runs, not with this module.
+phase at a wrapped angle, and writes the block's accepted columns straight
+into their slice, one row at a time.  Peak memory is therefore the output
+plus O(``BLOCK_TRIALS``), whatever the trial count.  numpy is imported
+when :func:`initialize` runs, not with this module.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Union
 
 from .phase import BLOCK_TRIALS, PhaseStream, count_at_least, wrap_angle
-from .signals import dichotomic_array
+from .signals import dichotomic_array, run_counts
 
 if TYPE_CHECKING:
     import numpy as np
@@ -29,13 +34,16 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class Definite:
-    """A qubit pinned to a classical bit value."""
+    """A qubit pinned to a classical bit value, stored as a Python int."""
 
     bit: int
 
     def __post_init__(self) -> None:
-        if self.bit not in (0, 1):
+        # a float bit is a TypeError; True is stored as 1
+        bit = int(operator.index(self.bit))
+        if bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {self.bit!r}")
+        object.__setattr__(self, "bit", bit)
 
 
 @dataclass(frozen=True)
@@ -57,7 +65,10 @@ QubitState = Union[Definite, Balanced]
 
 @dataclass
 class VirtualRegister:
-    """Qubits measured against one shared phase stream."""
+    """Qubits measured against one shared phase stream.
+
+    ``signal_index`` must be an integer and is stored as a Python int.
+    """
 
     qubits: list[QubitState]
     stream: PhaseStream
@@ -69,22 +80,9 @@ class VirtualRegister:
         for q in self.qubits:
             if not isinstance(q, (Definite, Balanced)):
                 raise TypeError(f"not a qubit state: {q!r}")
+        self.signal_index = int(operator.index(self.signal_index))
         if not 0 <= self.signal_index < len(self.qubits):
             raise ValueError(f"signal_index {self.signal_index} outside register")
-
-
-def _trial_bits(qubits: Sequence[QubitState], phi: np.ndarray) -> np.ndarray:
-    """Bit outcomes, one row per qubit, one column per trial."""
-    import numpy as np
-
-    rows = []
-    for q in qubits:
-        if isinstance(q, Definite):
-            rows.append(np.full(phi.shape, q.bit, dtype=np.int8))
-        else:
-            # green (+1) -> bit 0, red (-1) -> bit 1
-            rows.append((dichotomic_array(phi, q.alpha) < 0).view(np.int8))
-    return np.stack(rows)
 
 
 # an array has no single truth value, so equality is identity: compare .bits
@@ -93,7 +91,8 @@ class AcceptedTrials:
     """The bit columns of the accepted trials.
 
     ``bits`` holds one row per qubit and one column per accepted trial
-    (int8), so a trial costs ``qubits`` bytes.  ``len()`` counts the
+    (int8), so a trial costs ``qubits`` bytes and the array is the only
+    allocation that grows with the trial count.  ``len()`` counts the
     columns, that is the accepted trials, where a bare array's ``len()``
     would count the qubits.
     """
@@ -104,22 +103,74 @@ class AcceptedTrials:
         return self.bits.shape[1]
 
 
+def _accepted_count(register: VirtualRegister, trials: int) -> int:
+    """How many of the stream's next ``trials`` trials the signal qubit accepts; no cursor moves.
+
+    A Definite signal qubit accepts every trial or none.  A Balanced one
+    accepts the trials on the runs where it reads green (+1).
+    """
+    signal = register.qubits[register.signal_index]
+    if isinstance(signal, Definite):
+        return trials if signal.bit == 0 else 0
+    ((runs, (signs,)),) = run_counts([(register.stream, [signal.alpha], trials)])
+    return sum(r for r, green in zip(runs, signs) if green > 0)
+
+
+def _fill_block(register: VirtualRegister, count: int, bits: np.ndarray, filled: int) -> int:
+    """Draw the next ``count`` trials and write their accepted columns into ``bits`` from ``filled``.
+
+    Returns the column after the last one written.  One block's arrays live
+    only here, so they are freed before the next block is drawn.
+    """
+    import numpy as np
+
+    phi = register.stream.take(count)[1]
+    signal = register.qubits[register.signal_index]
+    if isinstance(signal, Definite):
+        green = np.full(phi.shape, signal.bit == 0)
+    else:
+        green = dichotomic_array(phi, signal.alpha) > 0
+    # one index array serves every row; a take on it beats a compress per row
+    accepted = np.flatnonzero(green)
+    end = filled + len(accepted)
+    if end > bits.shape[1]:
+        raise RuntimeError(f"blocks accept more than the {bits.shape[1]} trials counted")
+    for index, (q, row) in enumerate(zip(register.qubits, bits)):
+        if isinstance(q, Definite):
+            row[filled:end] = q.bit
+        elif index == register.signal_index:
+            row[filled:end] = 0  # accepted: green
+        else:
+            # green (+1) -> bit 0, red (-1) -> bit 1
+            red = (dichotomic_array(phi, q.alpha) < 0).view(np.int8)
+            # every index is in range; mode "raise" would copy through a buffer
+            np.take(red, accepted, out=row[filled:end], mode="wrap")
+    return end
+
+
 def initialize(register: VirtualRegister, trials: int) -> AcceptedTrials:
     """Measure ``trials`` times and keep only the accepted trials.
 
     A trial is accepted when the signal qubit reads bit 0 (green); rejected
     trials produce no output at all.  Every returned column therefore has
-    signal bit 0.  The stream is walked in blocks of ``BLOCK_TRIALS``.
+    signal bit 0.  The accepted count comes first, from
+    :func:`~phasebit.signals.run_counts`, and sizes the output; the stream
+    is then walked in blocks of ``BLOCK_TRIALS``, each block's accepted
+    columns written into their slice one row at a time.  Peak memory is the
+    output plus O(``BLOCK_TRIALS``).  Bits that disagree with the count
+    raise ``RuntimeError``.
     """
-    import numpy as np
+    import numpy as np  # loaded first, so an iid count hashes in numpy blocks
 
     trials = count_at_least("trials", trials, 1)
-    kept = []
+    n_accepted = _accepted_count(register, trials)
+    bits = np.empty((len(register.qubits), n_accepted), dtype=np.int8)
+    filled = 0
     for done in range(0, trials, BLOCK_TRIALS):
-        _, phi = register.stream.take(min(BLOCK_TRIALS, trials - done))
-        bits = _trial_bits(register.qubits, phi)
-        kept.append(np.compress(bits[register.signal_index] == 0, bits, axis=1))
-    return AcceptedTrials(np.concatenate(kept, axis=1))
+        filled = _fill_block(register, min(BLOCK_TRIALS, trials - done), bits, filled)
+    if filled != n_accepted:
+        raise RuntimeError(f"blocks accept {filled} of the {n_accepted} trials counted")
+    return AcceptedTrials(bits)
 
 
 def hadamard(q: QubitState) -> QubitState:

@@ -24,13 +24,16 @@ trial's step is below edge ``e`` exactly when its uint64 turns are below
 ``e << 11``, so :func:`~phasebit.phase.steps_below` counts the trials below
 each edge in turns, for both models: in hashed counters for ``iid``, in
 closed form for the ``oscillator``, at any trial count.
-:func:`sign_product_sums` counts every window it is given in one such call.
-The signal on each run is read from :func:`dichotomic` at the run's first
-phase.  Counts and ``+-1`` product sums are Python ints, so the result does
-not depend on the blocking or the counting method.  The kernel itself needs
-no numpy: only :func:`dichotomic_array` imports it, and the ``iid`` count
-does when its windows total more than one block of trials or numpy is
-already loaded.
+:func:`run_counts` turns each window it is given into a run histogram, the
+trial count of each run and every angle's signal on it, all in one such
+call; the signal on each run is read from :func:`dichotomic` at the run's
+first phase.  :func:`sign_product_sums` weights the runs by a pair's
+product, and :func:`~phasebit.register.initialize` sizes its output from
+the runs on which the signal qubit reads ``+1``.  Counts and ``+-1``
+product sums are Python ints, so the result does not depend on the
+blocking or the counting method.  The kernel itself needs no numpy: only
+:func:`dichotomic_array` imports it, and the ``iid`` count does when its
+windows total more than one block of trials or numpy is already loaded.
 """
 
 from __future__ import annotations
@@ -147,40 +150,59 @@ def sign_edges(alpha: float) -> tuple[int, ...]:
     return tuple(k for k in first_reaching if 0 < k < PHASE_STEPS)
 
 
+def run_counts(
+    windows: Sequence[tuple[PhaseStream, Sequence[float], int]],
+) -> list[tuple[list[int], list[list[int]]]]:
+    """The run histogram of each window ``(stream, angles, n)``: ``(runs, signs)``.
+
+    The union of the angles' :func:`sign_edges` cuts the steps into runs on
+    which every signal is constant.  ``runs`` holds the number of the
+    stream's next ``n`` trials on each run, in step order, so it sums to
+    ``n``; ``signs`` holds, per angle in the order given, its ``+-1`` on each
+    run, read by :func:`dichotomic` at the run's first phase.  Angles are
+    wrapped to ``(-pi, pi]`` first.  One :func:`~phasebit.phase.steps_below`
+    call counts every window: hashed counters for ``iid``, O(log)
+    big-integer steps per edge for the ``oscillator``.  Every window is
+    checked before any work: one whose trial indices would reach ``2**63``
+    raises ``ValueError``.  No cursor moves.
+    """
+    checked = []
+    for stream, angles, n in windows:
+        n = count_at_least("n", n, 1)
+        angles = [wrap_angle(a) for a in angles]
+        edges = sorted(set().union(*(sign_edges(a) for a in angles)))
+        checked.append((stream, angles, n, edges))
+    counts = steps_below([(stream, n, edges) for stream, _, n, edges in checked])
+    histograms = []
+    for (_, angles, n, edges), below in zip(checked, counts):
+        runs = [hi - lo for lo, hi in zip([0, *below], [*below, n])]
+        first_phases = [0.0, *(step_phase(k) for k in edges)]
+        histograms.append((runs, [[dichotomic(phi, a) for phi in first_phases] for a in angles]))
+    return histograms
+
+
 def sign_product_sums(
     windows: Sequence[tuple[PhaseStream, Sequence[tuple[float, float]], int]],
 ) -> list[list[int]]:
     """Exact sums of ``s(x) * s(y)`` per window ``(stream, pairs, n)``: one per pair ``(x, y)``.
 
-    Each window sums over its stream's next ``n`` trials.  Angles are
-    wrapped to ``(-pi, pi]`` first.  The union of a window's angles'
-    :func:`sign_edges` cuts the steps into runs on which every signal is
-    constant, and one :func:`~phasebit.phase.steps_below` call counts every
-    window's trials below its edges: hashed counters for ``iid``, O(log)
-    big-integer steps per edge for the ``oscillator``.  One
-    :func:`dichotomic` call per angle and run, at the run's first phase,
-    gives the signals, and each sum is the run counts weighted by
-    ``s(x) * s(y)``.  Integer counts make the result independent of the
+    Each window sums over its stream's next ``n`` trials: the
+    :func:`run_counts` of the window's angles, weighted by ``s(x) * s(y)``
+    on each run.  Integer counts make the result independent of the
     blocking and the counting method.  Every window is checked before any
-    work: one whose trial indices would reach ``2**63`` raises
-    ``ValueError``.  Each stream's cursor then advances by its ``n``.
+    work; each stream's cursor then advances by its ``n``.
     """
     checked = []
     for stream, pairs, n in windows:
-        n = count_at_least("n", n, 1)
         pairs = [(wrap_angle(x), wrap_angle(y)) for x, y in pairs]
-        angles = dict.fromkeys(a for pair in pairs for a in pair)
-        edges = sorted(set().union(*(sign_edges(a) for a in angles)))
-        checked.append((stream, pairs, n, angles, edges))
-    counts = steps_below([(stream, n, edges) for stream, _, n, _, edges in checked])
+        checked.append((stream, pairs, n, list(dict.fromkeys(a for pair in pairs for a in pair))))
+    histograms = run_counts([(stream, angles, n) for stream, _, n, angles in checked])
     sums = []
-    for (stream, pairs, n, angles, edges), below in zip(checked, counts):
+    for (stream, pairs, n, angles), (runs, signs) in zip(checked, histograms):
         stream.skip(n)
-        runs = [hi - lo for lo, hi in zip([0, *below], [*below, n])]
-        first_phases = [0.0, *(step_phase(k) for k in edges)]
-        signs = {a: [dichotomic(phi, a) for phi in first_phases] for a in angles}
+        sign = dict(zip(angles, signs))
         sums.append(
-            [sum(r * sx * sy for r, sx, sy in zip(runs, signs[x], signs[y])) for x, y in pairs]
+            [sum(r * sx * sy for r, sx, sy in zip(runs, sign[x], sign[y])) for x, y in pairs]
         )
     return sums
 

@@ -11,7 +11,6 @@ from phasebit import (
     PhaseModel,
     PhaseStream,
     chunk_quota,
-    ensemble_frequencies,
     make_phase_stream,
     phases_at,
     substream,
@@ -21,6 +20,14 @@ from phasebit import phase as phase_module
 from phasebit.phase import BLOCK_TRIALS, PHASE_STEPS, floor_sum, step_phase, steps_below
 from phasebit.signals import sign_edges, sign_product_sums
 from phasebit.stats import ks_uniformity
+
+
+def ensemble_frequencies(model):
+    """The oscillator's rates in numpy: the reference ``phase._rates`` is pinned to."""
+    steps = phase_module._steps(
+        phase_module._hash64(model.seed ^ phase_module._FREQ_TAG, np.arange(model.ensemble_size))
+    )
+    return model.frequency_spread * ((steps + 1.0) * 2.0**-53)  # exact: steps + 1 <= 2**53
 
 
 # ---------------------------------------------------------------- wrap_angle
@@ -206,10 +213,9 @@ def test_oscillator_frequencies_positive_and_bounded():
     model = PhaseModel(
         kind=OSCILLATOR_ENSEMBLE, seed=5, ensemble_size=64, frequency_spread=2.5
     )
-    freqs = ensemble_frequencies(model)
-    assert freqs.shape == (64,)
-    assert np.all(freqs > 0.0)
-    assert np.all(freqs <= 2.5)
+    freqs = list(phase_module._rates(model))
+    assert len(freqs) == 64
+    assert all(0.0 < f <= 2.5 for f in freqs)
 
 
 def test_oscillator_burn_in_shifts_the_sequence():

@@ -19,8 +19,20 @@ from phasebit import (
     initialize,
     make_phase_stream,
 )
+from phasebit import register
 from phasebit.phase import BLOCK_TRIALS
-from phasebit.register import _trial_bits
+from phasebit.register import _accepted_count
+from phasebit.signals import dichotomic_array
+
+
+def _trial_bits(qubits, phi):
+    """Reference bits, one row per qubit and one column per trial: green (+1) is bit 0."""
+    return np.stack([
+        np.full(phi.shape, q.bit, dtype=np.int8)
+        if isinstance(q, Definite)
+        else (dichotomic_array(phi, q.alpha) < 0).view(np.int8)
+        for q in qubits
+    ])
 
 
 def fresh_register(qubits, seed=42, signal_index=0):
@@ -36,6 +48,18 @@ def test_definite_validates_bit():
         Definite(2)
 
 
+def test_definite_takes_an_integer_bit():
+    for bit in (1.0, 0.0, np.float64(1.0), "1"):
+        with pytest.raises(TypeError):
+            Definite(bit)
+    for bit in (True, np.int8(1), np.uint64(1)):
+        q = Definite(bit)
+        assert type(q.bit) is int and q.bit == 1
+        assert q == Definite(1)
+        assert cnot(q.bit, 0) == 1
+    assert type(Definite(False).bit) is int
+
+
 def test_balanced_wraps_angle():
     assert Balanced(3 * math.pi).alpha == math.pi
     assert Balanced(-math.pi / 2).alpha == -math.pi / 2
@@ -49,6 +73,21 @@ def test_register_validation():
         VirtualRegister([Definite(0)], stream, signal_index=1)
     with pytest.raises(TypeError):
         VirtualRegister([Definite(0), "nope"], stream)
+
+
+def test_register_takes_an_integer_signal_index():
+    stream = make_phase_stream(PhaseModel(seed=0))
+    qubits = [Balanced(0.0), Balanced(1.0)]
+    for index in (1.0, 0.5, np.float64(0.0), "0"):
+        with pytest.raises(TypeError):
+            VirtualRegister(qubits, stream, signal_index=index)
+    for index in (True, np.int64(1)):
+        reg = VirtualRegister(qubits, make_phase_stream(PhaseModel(seed=0)), signal_index=index)
+        assert type(reg.signal_index) is int and reg.signal_index == 1
+        accepted = initialize(reg, 100)
+        assert np.all(accepted.bits[1] == 0)
+        reference = initialize(fresh_register(qubits, seed=0, signal_index=1), 100)
+        assert np.array_equal(accepted.bits, reference.bits)
 
 
 # ------------------------------------------------------- single-trial rules
@@ -193,7 +232,47 @@ def test_initialize_memory_does_not_grow_with_records():
         tracemalloc.stop()
     assert 400_000 < len(accepted) < 600_000
     assert accepted.bits.nbytes == 8 * len(accepted)
-    assert peak < 12 * 2**20
+    # the output once, plus block buffers: no second copy of the accepted columns
+    assert peak < accepted.bits.nbytes + 48 * BLOCK_TRIALS
+
+
+SIGNAL_CASES = [
+    ([Balanced(0.3), Definite(1), Balanced(2.1), Balanced(-1.2)], 0),
+    ([Balanced(0.3), Definite(1), Balanced(2.1), Balanced(-1.2)], 3),
+    ([Definite(0), Balanced(2.1), Balanced(-1.2)], 0),
+    ([Balanced(0.3), Balanced(2.1), Definite(1)], 2),
+]
+MODELS = [
+    PhaseModel(kind="iid", seed=17),
+    PhaseModel(kind="oscillator", seed=17),
+    PhaseModel(kind="oscillator", seed=17, burn_in=2**62 + 12345),
+]
+
+
+@pytest.mark.parametrize("trials", [1, 2 * BLOCK_TRIALS + 5])
+@pytest.mark.parametrize("qubits,signal_index", SIGNAL_CASES)
+@pytest.mark.parametrize("model", MODELS, ids=["iid", "oscillator", "oscillator-burn-in"])
+def test_accepted_count_equals_the_per_trial_count(model, qubits, signal_index, trials):
+    stream = make_phase_stream(model)
+    stream.skip(13)
+    reg = VirtualRegister(qubits, stream, signal_index)
+    count = _accepted_count(reg, trials)
+    assert stream.position == 13
+    reference = make_phase_stream(model)
+    reference.skip(13)
+    _, phi = reference.take(trials)
+    assert count == int(np.count_nonzero(_trial_bits(qubits, phi)[signal_index] == 0))
+    assert len(initialize(reg, trials)) == count
+
+
+@pytest.mark.parametrize("error", [-1, 1])
+@pytest.mark.parametrize("trials", [1000, 2 * BLOCK_TRIALS + 5])
+def test_initialize_raises_when_the_bits_disagree_with_the_count(monkeypatch, error, trials):
+    qubits = [Balanced(0.0), Balanced(1.0)]
+    count = _accepted_count(fresh_register(qubits), trials)
+    monkeypatch.setattr(register, "_accepted_count", lambda reg, n: count + error)
+    with pytest.raises(RuntimeError):
+        initialize(fresh_register(qubits), trials)
 
 
 @pytest.mark.parametrize("signal_index", [0, 1])

@@ -19,7 +19,7 @@ from phasebit import (
 from phasebit import phase as phase_module
 from phasebit import signals
 from phasebit.phase import BLOCK_TRIALS, OSCILLATOR_ENSEMBLE, PHASE_STEPS, PhaseStream, step_phase
-from phasebit.signals import sign_edges, sign_product_sums
+from phasebit.signals import run_counts, sign_edges, sign_product_sums
 
 
 def agreement_probability_quadrature(delta, n=2_000_001):
@@ -282,6 +282,29 @@ KERNEL_MODELS = [
     PhaseModel(seed=31),
     PhaseModel(kind=OSCILLATOR_ENSEMBLE, seed=31, burn_in=2**62 + 12345),
 ]
+
+
+@pytest.mark.parametrize("n", [1, 2 * BLOCK_TRIALS + 7], ids=["1", "2b+7"])
+@pytest.mark.parametrize("model", KERNEL_MODELS, ids=["iid", "oscillator"])
+def test_run_counts_equal_a_per_trial_histogram(model, n):
+    angles = [0.7, -1.0, 4.0, 0.7]  # 4.0 is read at its wrapped angle
+    stream = make_phase_stream(model)
+    stream.skip(11)
+    other = make_phase_stream(model)
+    ((runs, signs), (other_runs, _)) = run_counts([(stream, angles, n), (other, [0.0], 3)])
+    assert stream.position == 11 and other.position == 0  # no cursor moves
+    assert sum(runs) == n and sum(other_runs) == 3
+
+    wrapped = [wrap_angle(a) for a in angles]
+    edges = sorted(set().union(*(sign_edges(a) for a in wrapped)))
+    assert len(runs) == len(edges) + 1 and [len(s) for s in signs] == [len(runs)] * 4
+    _, phi = PhaseStream(model, start=11).take(n)
+    # a trial's step reaches edge e exactly when its phase reaches step_phase(e)
+    run_of = np.searchsorted([step_phase(e) for e in edges], phi, side="right")
+    assert runs == np.bincount(run_of, minlength=len(runs)).tolist()
+    for a, sign in zip(wrapped, signs):
+        assert np.array_equal(dichotomic_array(phi, a), np.array(sign)[run_of])
+
 ANGLES = st.one_of(
     st.floats(min_value=-math.pi, max_value=math.pi),
     st.floats(allow_nan=False, allow_infinity=False),
