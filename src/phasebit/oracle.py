@@ -9,28 +9,30 @@ from closed forms, so the closed forms (``E = -cos(a - b)``, CHSH up to
 Basis convention: qubit 0 is the most significant bit of the amplitude
 index, so for two qubits the order is ``|00>, |01>, |10>, |11>``.
 
-The two-qubit singlet correlations, which ``chsh`` and ``compare`` use, are
-evaluated on Python complex numbers with the operations numpy's
-``np.vdot(psi, np.kron(A, B) @ psi)`` performs, in its order, and give the
-same floats without importing numpy.  The n-qubit states and gates import
-numpy when called.
+States hold their amplitudes as a tuple of Python ``complex`` and the gates
+work on amplitude-index bits, so the module imports no numpy.  The singlet
+correlations, which ``chsh`` and ``compare`` use, perform the operations of
+numpy's ``np.vdot(psi, np.kron(A, B) @ psi)`` in its order and give the same
+floats.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _MAX_QUBITS = 10
 _NORM_TOL = 1e-12
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-# (|01> - |10>) / sqrt2, the amplitudes of singlet_state()
-_SINGLET = (0j, complex(_INV_SQRT2), complex(-_INV_SQRT2), 0j)
+
+
+def _qubit_count(n_qubits: int) -> int:
+    n = int(operator.index(n_qubits))
+    if not 1 <= n <= _MAX_QUBITS:
+        raise ValueError(f"n_qubits must be in 1..{_MAX_QUBITS}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -38,98 +40,79 @@ class QuantumState:
     """Normalized complex amplitude vector over ``n_qubits``."""
 
     n_qubits: int
-    amplitudes: np.ndarray
+    amplitudes: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        import numpy as np
-
-        if not 1 <= int(self.n_qubits) <= _MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in 1..{_MAX_QUBITS}")
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
-        if amps.size != 2**self.n_qubits:
-            raise ValueError(
-                f"expected {2**self.n_qubits} amplitudes, got {amps.size}"
-            )
-        norm_sq = float(np.real(np.vdot(amps, amps)))
+        n = _qubit_count(self.n_qubits)
+        amps = tuple(complex(a) for a in self.amplitudes)
+        if len(amps) != 2**n:
+            raise ValueError(f"expected {2**n} amplitudes, got {len(amps)}")
+        norm_sq = math.fsum(a.real * a.real + a.imag * a.imag for a in amps)
         if abs(norm_sq - 1.0) > _NORM_TOL:
             raise ValueError(f"state not normalized: |psi|^2 = {norm_sq!r}")
-        amps.setflags(write=False)
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "amplitudes", amps)
 
 
 def basis_state(n_qubits: int, index: int) -> QuantumState:
     """Computational basis state with the given amplitude index."""
-    import numpy as np
-
-    if not 1 <= n_qubits <= _MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in 1..{_MAX_QUBITS}")
-    dim = 2**n_qubits
+    dim = 2 ** _qubit_count(n_qubits)
+    index = int(operator.index(index))
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} outside 0..{dim - 1}")
-    amps = np.zeros(dim, dtype=complex)
-    amps[index] = 1.0
+    amps = [0j] * dim
+    amps[index] = 1 + 0j
     return QuantumState(n_qubits, amps)
 
 
-def _check_qubit(state: QuantumState, index: int, name: str) -> None:
+def _qubit_bit(state: QuantumState, index: int, name: str) -> int:
+    """The amplitude-index bit of qubit ``index``."""
+    index = int(operator.index(index))
     if not 0 <= index < state.n_qubits:
         raise ValueError(f"{name} qubit {index} outside 0..{state.n_qubits - 1}")
+    return 1 << (state.n_qubits - 1 - index)
 
 
 def apply_hadamard(state: QuantumState, target: int) -> QuantumState:
     """Apply the unitary Hadamard ``(1/sqrt2) [[1, 1], [1, -1]]`` to one qubit."""
-    import numpy as np
-
-    _check_qubit(state, target, "target")
-    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-    psi = state.amplitudes.reshape([2] * state.n_qubits)
-    psi = np.tensordot(hadamard, psi, axes=([1], [target]))
-    psi = np.moveaxis(psi, 0, target)
-    return QuantumState(state.n_qubits, psi.reshape(-1))
+    bit = _qubit_bit(state, target, "target")
+    src = state.amplitudes
+    amps = list(src)
+    for i in range(len(src)):
+        if not i & bit:
+            a, b = src[i], src[i | bit]
+            amps[i] = (a + b) * _INV_SQRT2
+            amps[i | bit] = (a - b) * _INV_SQRT2
+    return QuantumState(state.n_qubits, amps)
 
 
 def apply_cnot(state: QuantumState, control: int, target: int) -> QuantumState:
     """Permute basis amplitudes: the target bit flips wherever control is 1."""
-    _check_qubit(state, control, "control")
-    _check_qubit(state, target, "target")
-    if control == target:
+    c = _qubit_bit(state, control, "control")
+    t = _qubit_bit(state, target, "target")
+    if c == t:
         raise ValueError("control and target must differ")
-    psi = state.amplitudes.reshape([2] * state.n_qubits).copy()
-
-    def sel(c_bit: int, t_bit: int) -> tuple:
-        idx = [slice(None)] * state.n_qubits
-        idx[control] = c_bit
-        idx[target] = t_bit
-        return tuple(idx)
-
-    flipped = psi[sel(1, 1)].copy()
-    psi[sel(1, 1)] = psi[sel(1, 0)]
-    psi[sel(1, 0)] = flipped
-    return QuantumState(state.n_qubits, psi.reshape(-1))
+    src = state.amplitudes
+    amps = (src[i ^ t if i & c else i] for i in range(len(src)))
+    return QuantumState(state.n_qubits, amps)
 
 
-def _spin_rows(theta: float) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-    """The rows of :func:`observable` as Python complex numbers."""
-    c, s = complex(math.cos(theta)), complex(math.sin(theta))
-    return ((c, s), (s, -c))
-
-
-def observable(theta: float) -> np.ndarray:
-    """Spin observable ``cos(theta) Z + sin(theta) X`` for one qubit.
+def observable(theta: float) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """Rows of the spin observable ``cos(theta) Z + sin(theta) X`` for one qubit.
 
     Hermitian with eigenvalues ``+-1``; ``theta = 0`` measures Z,
     ``theta = pi/2`` measures X.
     """
-    import numpy as np
+    c, s = complex(math.cos(theta)), complex(math.sin(theta))
+    return ((c, s), (s, -c))
 
-    return np.array(_spin_rows(theta), dtype=complex)
+
+_SINGLET = QuantumState(2, (0.0, _INV_SQRT2, -_INV_SQRT2, 0.0))
 
 
 def singlet_state() -> QuantumState:
     """The two-qubit singlet ``(|01> - |10>) / sqrt2``."""
-    import numpy as np
-
-    return QuantumState(2, np.array(_SINGLET, dtype=complex))
+    return _SINGLET
 
 
 def singlet_correlation(a: float, b: float) -> float:
@@ -140,13 +123,14 @@ def singlet_correlation(a: float, b: float) -> float:
     B[i & 1][j & 1]``, and both sums run in index order, in complex
     arithmetic, as numpy's ``kron``, ``@`` and ``vdot`` compute them.
     """
-    rows_a, rows_b = _spin_rows(a), _spin_rows(b)
+    rows_a, rows_b = observable(a), observable(b)
+    psi = _SINGLET.amplitudes
     total = 0j
     for i in range(4):
         op_psi = 0j
         for j in range(4):
-            op_psi += rows_a[i >> 1][j >> 1] * rows_b[i & 1][j & 1] * _SINGLET[j]
-        total += _SINGLET[i].conjugate() * op_psi
+            op_psi += rows_a[i >> 1][j >> 1] * rows_b[i & 1][j & 1] * psi[j]
+        total += psi[i].conjugate() * op_psi
     return total.real
 
 

@@ -207,6 +207,7 @@ def apply_cnot_to_bits(bits: np.ndarray, control: int, target: int) -> np.ndarra
     Returns a copy in which the target row is XORed with the control row;
     ``bits`` and the control row are left unchanged.
     """
+    control, target = int(operator.index(control)), int(operator.index(target))
     if control == target:
         raise ValueError("control and target must differ")
     rows = len(bits)

@@ -119,9 +119,9 @@ def test_criterion_6_gate_semantics():
     state = QuantumState(3, amps / np.linalg.norm(amps))
     for target in range(3):
         back = apply_hadamard(apply_hadamard(state, target), target)
-        assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-12
+        assert np.max(np.abs(np.subtract(back.amplitudes, state.amplitudes))) <= 1e-12
     back = apply_cnot(apply_cnot(state, 0, 2), 0, 2)
-    assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-12
+    assert np.max(np.abs(np.subtract(back.amplitudes, state.amplitudes))) <= 1e-12
     walked = apply_cnot(apply_hadamard(state, 1), 1, 0)
     norm_sq = float(np.real(np.vdot(walked.amplitudes, walked.amplitudes)))
     assert abs(norm_sq - 1.0) <= 1e-12

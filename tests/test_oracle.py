@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,11 +55,92 @@ def test_basis_state_index_range():
 
 def test_amplitudes_are_read_only():
     state = basis_state(1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         state.amplitudes[0] = 0.0
 
 
+def test_states_compare_and_hash_by_value():
+    assert singlet_state() == singlet_state()
+    assert singlet_state() == QuantumState(2, np.array([0, 1, -1, 0]) / SQRT2)
+    assert basis_state(2, 1) != basis_state(2, 2)
+    assert basis_state(1, 0) != apply_hadamard(basis_state(1, 0), 0)
+    assert hash(basis_state(1, 0)) == hash(QuantumState(1, [1.0, 0.0]))
+    assert len({basis_state(1, 0), basis_state(1, 0), basis_state(1, 1)}) == 2
+
+
+def test_qubit_counts_and_indices_must_be_integers():
+    amps = [1.0, 0.0, 0.0, 0.0]
+    with pytest.raises(TypeError):
+        QuantumState(2.0, amps)
+    with pytest.raises(TypeError):
+        basis_state(2.0, 1)
+    with pytest.raises(TypeError):
+        basis_state(2, 1.0)
+    state = basis_state(2, 0)
+    with pytest.raises(TypeError):
+        apply_hadamard(state, 1.0)
+    with pytest.raises(TypeError):
+        apply_cnot(state, 0.0, 1)
+    with pytest.raises(TypeError):
+        apply_cnot(state, 0, 1.0)
+
+
+def test_numpy_integers_and_bools_act_as_the_equal_int():
+    state = QuantumState(np.int64(2), [1.0, 0.0, 0.0, 0.0])
+    assert type(state.n_qubits) is int and state == basis_state(2, 0)
+    assert type(QuantumState(True, [1.0, 0.0]).n_qubits) is int
+    assert basis_state(np.uint8(2), np.int32(3)) == basis_state(2, 3)
+    assert basis_state(2, True) == basis_state(2, 1)
+    plus = apply_hadamard(state, 0)
+    assert apply_hadamard(state, np.int64(0)) == plus
+    assert apply_hadamard(state, False) == plus
+    assert apply_cnot(plus, np.int16(0), True) == apply_cnot(plus, 0, 1)
+
+
 # -------------------------------------------------------------------- gates
+
+def numpy_hadamard(amplitudes, n_qubits, target):
+    """Dense ``tensordot`` Hadamard on one axis: the reference for ``apply_hadamard``."""
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+    psi = np.asarray(amplitudes, dtype=complex).reshape([2] * n_qubits)
+    psi = np.tensordot(hadamard, psi, axes=([1], [target]))
+    return np.moveaxis(psi, 0, target).reshape(-1)
+
+
+def numpy_cnot(amplitudes, n_qubits, control, target):
+    """Slice-swap CNOT on the ``[2] * n`` tensor: the reference for ``apply_cnot``."""
+    psi = np.array(amplitudes, dtype=complex).reshape([2] * n_qubits)
+
+    def sel(c_bit, t_bit):
+        idx = [slice(None)] * n_qubits
+        idx[control] = c_bit
+        idx[target] = t_bit
+        return tuple(idx)
+
+    flipped = psi[sel(1, 1)].copy()
+    psi[sel(1, 1)] = psi[sel(1, 0)]
+    psi[sel(1, 0)] = flipped
+    return psi.reshape(-1)
+
+
+def test_gates_match_the_numpy_references():
+    rng = np.random.default_rng(22)
+    for n in (1, 2, 3, 4):
+        for _ in range(5):
+            state = random_state(n, rng)
+            for target in range(n):
+                np.testing.assert_allclose(
+                    apply_hadamard(state, target).amplitudes,
+                    numpy_hadamard(state.amplitudes, n, target),
+                    rtol=0, atol=1e-15,
+                )
+                for control in range(n):
+                    if control != target:
+                        # a permutation: equal, not merely close
+                        assert apply_cnot(state, control, target).amplitudes == tuple(
+                            numpy_cnot(state.amplitudes, n, control, target)
+                        )
+
 
 def test_hadamard_columns():
     plus = apply_hadamard(basis_state(1, 0), 0)
@@ -122,7 +207,7 @@ def test_gates_preserve_norm():
 def test_observable_is_hermitian_with_unit_eigenvalues():
     rng = np.random.default_rng(3)
     for theta in rng.uniform(-math.pi, math.pi, size=50):
-        op = observable(theta)
+        op = np.array(observable(theta))
         np.testing.assert_allclose(op, op.conj().T, atol=1e-15)
         eigs = np.sort(np.linalg.eigvalsh(op))
         np.testing.assert_allclose(eigs, [-1.0, 1.0], atol=1e-12)
@@ -163,6 +248,27 @@ def test_singlet_correlation_equals_the_numpy_expression_bit_for_bit():
         # hex tells -0.0 from 0.0, which print differently
         assert singlet_correlation(a, b).hex() == numpy_singlet_correlation(a, b).hex(), (a, b)
     assert singlet_correlation(0.0, math.pi / 2) == -6.123233995736765e-17
+
+
+def test_oracle_runs_without_numpy():
+    # GHZ, the singlet and CHSH with site-packages, and so numpy, out of reach
+    script = (
+        "import sys\n"
+        "from phasebit.oracle import *\n"
+        "ghz = apply_cnot(apply_cnot(apply_hadamard(basis_state(3, 0), 0), 0, 1), 1, 2)\n"
+        f"s = chsh_quantum(*{CANONICAL!r})\n"
+        "assert 'numpy' not in sys.modules\n"
+        "print(repr((ghz.amplitudes, singlet_state().amplitudes, s)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    ghz = apply_cnot(apply_cnot(apply_hadamard(basis_state(3, 0), 0), 0, 1), 1, 2)
+    expected = (ghz.amplitudes, singlet_state().amplitudes, chsh_quantum(*CANONICAL))
+    assert done.stdout.decode() == repr(expected) + "\n"
+    assert ghz.amplitudes == (complex(1 / SQRT2), 0j, 0j, 0j, 0j, 0j, 0j, complex(1 / SQRT2))
 
 
 # --------------------------------------------------------------------- CHSH

@@ -367,6 +367,16 @@ def test_apply_cnot_validation():
             apply_cnot_to_bits(bits, control, target)
 
 
+def test_apply_cnot_takes_integer_indices_only():
+    bits = np.array([[1, 0, 1, 0], [0, 0, 1, 1]], dtype=np.int8)
+    expected = apply_cnot_to_bits(bits, 0, 1).tolist()
+    for control, target in [(np.int64(0), np.uint8(1)), (False, True)]:
+        assert apply_cnot_to_bits(bits, control, target).tolist() == expected
+    for control, target in [(1.0, 0), (0, 1.0), (0, "1")]:
+        with pytest.raises(TypeError):
+            apply_cnot_to_bits(bits, control, target)
+
+
 def test_apply_cnot_validates_indices_with_no_accepted_trial():
     bits = initialize(fresh_register([Definite(1), Balanced(0.5)]), 100).bits
     assert bits.shape == (2, 0)
