@@ -11,7 +11,6 @@ here but reaches ``2*sqrt(2)`` quantum-mechanically.
 
 from .config import (
     COMMANDS,
-    ENV_SEED,
     FORMATS,
     ConfigError,
     ExperimentConfig,
@@ -84,7 +83,6 @@ __all__ = [
     "CorrelationEstimate",
     "CurvePoint",
     "Definite",
-    "ENV_SEED",
     "ExperimentConfig",
     "FORMATS",
     "IID_UNIFORM",

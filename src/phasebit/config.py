@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
-import os
 import re
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Mapping, NamedTuple
 
-from .phase import IID_UNIFORM, OSCILLATOR_ENSEMBLE, PhaseModel
+from .phase import IID_UNIFORM, OSCILLATOR_ENSEMBLE, PhaseModel, checked_int
 
 
 class ConfigError(ValueError):
@@ -27,7 +25,6 @@ COMMANDS = ("curve", "chsh", "init", "gates", "compare")
 FORMATS = ("csv", "json")
 MODEL_KINDS = (IID_UNIFORM, OSCILLATOR_ENSEMBLE)
 STDOUT_SENTINEL = "-"
-ENV_SEED = "PHASEBIT_SEED"
 # Bound of the ``workers`` key, which no command partitions its trials by.
 MAX_WORKERS = 256
 
@@ -116,15 +113,13 @@ class Key(NamedTuple):
     flag: str | None = None
     metavar: str | None = None
     help: str | None = None
-    env: str | None = None  # environment variable read when the key is absent
 
 
 # Every config key in canonical order, the order of the dataclass fields.
 KEYS = {
     "command": Key(str),
     "kind": Key(str, "--model", "KIND", f"phase model kind: {' | '.join(MODEL_KINDS)}"),
-    "seed": Key(int, "--seed", "N", f"64-bit generator seed (default: ${ENV_SEED}, then 0)",
-                env=ENV_SEED),
+    "seed": Key(int, "--seed", "N", "64-bit generator seed (default 0)"),
     "ensemble_size": Key(int, "--ensemble-size", "N", "oscillator count for the oscillator model"),
     "frequency_spread": Key(float, "--frequency-spread", "X", "oscillator rate upper bound"),
     "burn_in": Key(int, "--burn-in", "N", "oscillator samples discarded before output"),
@@ -157,17 +152,13 @@ def read_key_values(text: str) -> dict[str, str]:
 
 
 def build_config(raw: Mapping[str, str]) -> ExperimentConfig:
-    """Assemble and validate a config from merged key-value text.
-
-    The seed falls back to the ``PHASEBIT_SEED`` environment variable when
-    absent from ``raw``, and to 0 after that.
-    """
+    """Assemble and validate a config from merged key-value text."""
     unknown = sorted(set(raw) - set(KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     values = {}
     for name, key in KEYS.items():
-        text = raw.get(name, key.env and os.environ.get(key.env))
+        text = raw.get(name)
         if text is None:
             continue
         try:
@@ -192,44 +183,40 @@ def _experiment(*, command=None, trials=10_000, angles=None, **values) -> Experi
     return ExperimentConfig(command, trials=trials, angles=angles, **values)
 
 
-def _integer(name: str, value: Any) -> int:
-    """An integer field as a Python int; a float or any other type is a config error."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-
-
 def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     """Check field types and cross-field constraints; returns the config unchanged."""
     if config.command not in COMMANDS:
         raise ConfigError(f"unknown command {config.command!r}")
     if config.format not in FORMATS:
         raise ConfigError(f"unknown format {config.format!r}; expected one of {FORMATS}")
-    trials = _integer("trials", config.trials)
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
+    if not isinstance(config.model, PhaseModel):
+        raise ConfigError(f"model must be a PhaseModel, got {config.model!r}")
+    if not isinstance(config.out, str):
+        raise ConfigError(f"out path must be a string, got {config.out!r}")
     if not config.out:
         raise ConfigError(f"out path must not be empty; use {STDOUT_SENTINEL!r} for stdout")
-    if not 1 <= _integer("workers", config.workers) <= MAX_WORKERS:
-        raise ConfigError(f"workers must be in 1..{MAX_WORKERS}")
-    signal_index = _integer("signal_index", config.signal_index)
+    if not isinstance(config.shared_trials, bool):
+        raise ConfigError(f"shared_trials must be true or false, got {config.shared_trials!r}")
     if not config.angles:
         raise ConfigError("angle list must not be empty")
     if any(not isinstance(a, numbers.Real) for a in config.angles):
         raise ConfigError("angles must be real numbers")
     if any(not math.isfinite(a) for a in config.angles):
         raise ConfigError("angles must be finite")
+    # only init reads signal_index: the qubit of its register that gates acceptance
+    last_qubit = len(config.angles) - 1 if config.command == "init" else None
+    try:
+        trials = checked_int("trials", config.trials, 1)
+        checked_int("workers", config.workers, 1, MAX_WORKERS)
+        checked_int("signal_index", config.signal_index, 0, last_qubit)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
     # the oscillator wraps burn_in mod 2**64, so only the trial count can overflow
     if trials * len(config.angles) > 2**63 - 1:
         raise ConfigError("trials * len(angles) exceeds the int64 trial index")
     if config.command == "chsh" and len(config.angles) != 4:
         raise ConfigError(
             f"chsh needs exactly 4 angles (a1, a2, b1, b2), got {len(config.angles)}"
-        )
-    if config.command == "init" and not 0 <= signal_index < len(config.angles):
-        raise ConfigError(
-            f"signal_index {signal_index} outside the {len(config.angles)}-qubit register"
         )
     return config
 

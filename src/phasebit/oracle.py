@@ -10,29 +10,24 @@ Basis convention: qubit 0 is the most significant bit of the amplitude
 index, so for two qubits the order is ``|00>, |01>, |10>, |11>``.
 
 States hold their amplitudes as a tuple of Python ``complex`` and the gates
-work on amplitude-index bits, so the module imports no numpy.  The singlet
-correlations, which ``chsh`` and ``compare`` use, perform the operations of
-numpy's ``np.vdot(psi, np.kron(A, B) @ psi)`` in its order and give the same
-floats.
+work on amplitude-index bits, so the module imports no numpy.  Qubit counts
+and indices, like every integer input, pass :func:`phasebit.phase.checked_int`,
+and that module imports no numpy either.  The singlet correlations, which
+``chsh`` and ``compare`` use, perform the operations of numpy's
+``np.vdot(psi, np.kron(A, B) @ psi)`` in its order and give the same floats.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
+
+from .phase import checked_int
 
 _MAX_QUBITS = 10
 _NORM_TOL = 1e-12
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-def _qubit_count(n_qubits: int) -> int:
-    n = int(operator.index(n_qubits))
-    if not 1 <= n <= _MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in 1..{_MAX_QUBITS}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -43,7 +38,7 @@ class QuantumState:
     amplitudes: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        n = _qubit_count(self.n_qubits)
+        n = checked_int("n_qubits", self.n_qubits, 1, _MAX_QUBITS)
         amps = tuple(complex(a) for a in self.amplitudes)
         if len(amps) != 2**n:
             raise ValueError(f"expected {2**n} amplitudes, got {len(amps)}")
@@ -56,21 +51,15 @@ class QuantumState:
 
 def basis_state(n_qubits: int, index: int) -> QuantumState:
     """Computational basis state with the given amplitude index."""
-    dim = 2 ** _qubit_count(n_qubits)
-    index = int(operator.index(index))
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} outside 0..{dim - 1}")
+    dim = 2 ** checked_int("n_qubits", n_qubits, 1, _MAX_QUBITS)
     amps = [0j] * dim
-    amps[index] = 1 + 0j
+    amps[checked_int("index", index, 0, dim - 1)] = 1 + 0j
     return QuantumState(n_qubits, amps)
 
 
 def _qubit_bit(state: QuantumState, index: int, name: str) -> int:
-    """The amplitude-index bit of qubit ``index``."""
-    index = int(operator.index(index))
-    if not 0 <= index < state.n_qubits:
-        raise ValueError(f"{name} qubit {index} outside 0..{state.n_qubits - 1}")
-    return 1 << (state.n_qubits - 1 - index)
+    """The amplitude-index bit of qubit ``index``, checked as the input ``name``."""
+    return 1 << (state.n_qubits - 1 - checked_int(name, index, 0, state.n_qubits - 1))
 
 
 def apply_hadamard(state: QuantumState, target: int) -> QuantumState:

@@ -98,11 +98,21 @@ def wrap_angle(x: float) -> float:
     return r
 
 
-def count_at_least(name: str, value: int, low: int) -> int:
-    """A count or window as a Python int of at least ``low``; a float is a ``TypeError``."""
-    value = operator.index(value)
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}")
+def checked_int(name: str, value: int, low: int, high: int | None = None) -> int:
+    """The integer input ``name`` as a Python int in ``low..high``, or ``>= low`` without ``high``.
+
+    Every count, index, bit and seed passes through here.  A numpy integer
+    or a bool acts as the equal int; a float or any other non-integer raises
+    ``TypeError`` and a value out of range ``ValueError``, both naming the
+    input.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < low or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {bounds}, got {value}")
     return value
 
 
@@ -173,20 +183,15 @@ class PhaseModel:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown phase model kind {self.kind!r}; expected one of {_KINDS}")
-        for name in ("seed", "ensemble_size", "burn_in"):
-            # a float seed would hash as a float and give a different stream
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        if not (0 <= self.seed <= _MAX_SEED):
-            raise ValueError("seed must be a 64-bit unsigned integer")
-        if not (1 <= self.ensemble_size <= _MAX_ENSEMBLE):
-            raise ValueError(f"ensemble_size must be in 1..{_MAX_ENSEMBLE}")
+        # a float seed would hash as a float and give a different stream
+        for name, low, high in (("seed", 0, _MAX_SEED), ("ensemble_size", 1, _MAX_ENSEMBLE),
+                                ("burn_in", 0, None)):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name), low, high))
         # a float32 spread would round every rate to float32
         spread = float(self.frequency_spread)
         object.__setattr__(self, "frequency_spread", spread)
         if not (math.isfinite(spread) and spread > 0.0):
             raise ValueError("frequency_spread must be a positive finite number")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
         if self.kind == OSCILLATOR_ENSEMBLE:
             try:
                 turns = _rate_turns(self)
@@ -256,8 +261,8 @@ class PhaseStream:
 
     def __init__(self, model: PhaseModel, start: int = 0, stride: int = 1):
         self.model = model
-        self.start = count_at_least("start", start, 0)
-        self.stride = count_at_least("stride", stride, 1)
+        self.start = checked_int("start", start, 0)
+        self.stride = checked_int("stride", stride, 1)
         self._cursor = 0
 
     @property
@@ -269,7 +274,7 @@ class PhaseStream:
         """Draw the next ``count`` samples as ``(trial_indices, phases)`` arrays."""
         import numpy as np
 
-        count = count_at_least("count", count, 0)
+        count = checked_int("count", count, 0)
         first = self._window(count)
         t = np.arange(first, first + self.stride * count, self.stride, dtype=np.int64)
         phi = phases_at(self.model, t)
@@ -285,7 +290,7 @@ class PhaseStream:
 
     def skip(self, count: int) -> None:
         """Advance the cursor without materializing samples."""
-        self._cursor += count_at_least("count", count, 0)
+        self._cursor += checked_int("count", count, 0)
 
     def __repr__(self) -> str:
         return (
@@ -332,13 +337,9 @@ def steps_below(windows: Sequence[tuple[PhaseStream, int, Sequence[int]]]) -> li
     """
     checked = []
     for stream, n, steps in windows:
-        n = count_at_least("n", n, 0)
+        n = checked_int("n", n, 0)
         first = stream._window(n)
-        limits = []
-        for step in steps:
-            if not 0 <= step <= PHASE_STEPS:
-                raise ValueError(f"step {step} outside 0..{PHASE_STEPS}")
-            limits.append(step << _STEP_SHIFT)
+        limits = [checked_int("step", step, 0, PHASE_STEPS) << _STEP_SHIFT for step in steps]
         checked.append((stream.model, first, stream.stride, n, limits))
     iid = [w for w in checked if w[0].kind == IID_UNIFORM]
     if sum(w[3] for w in iid) <= BLOCK_TRIALS and "numpy" not in sys.modules:
@@ -435,15 +436,6 @@ def make_phase_stream(model: PhaseModel) -> PhaseStream:
     return PhaseStream(model)
 
 
-def _chunk(chunk_index: int, num_chunks: int) -> tuple[int, int]:
-    """``(chunk_index, num_chunks)`` as Python ints, checked to name one leapfrog chunk."""
-    num_chunks = count_at_least("num_chunks", num_chunks, 1)
-    chunk_index = operator.index(chunk_index)
-    if not 0 <= chunk_index < num_chunks:
-        raise ValueError(f"chunk_index {chunk_index} outside 0..{num_chunks - 1}")
-    return chunk_index, num_chunks
-
-
 def substream(stream: PhaseStream, chunk_index: int, num_chunks: int) -> PhaseStream:
     """Leapfrog split of everything the stream has not yet drawn.
 
@@ -452,7 +444,8 @@ def substream(stream: PhaseStream, chunk_index: int, num_chunks: int) -> PhaseSt
     exactly once, as a multiset of ``(t, phi)`` pairs.  The parent stream is
     left untouched.
     """
-    chunk_index, num_chunks = _chunk(chunk_index, num_chunks)
+    num_chunks = checked_int("num_chunks", num_chunks, 1)
+    chunk_index = checked_int("chunk_index", chunk_index, 0, num_chunks - 1)
     return PhaseStream(
         stream.model,
         start=stream.start + stream.stride * (stream.position + chunk_index),
@@ -462,6 +455,7 @@ def substream(stream: PhaseStream, chunk_index: int, num_chunks: int) -> PhaseSt
 
 def chunk_quota(total: int, chunk_index: int, num_chunks: int) -> int:
     """How many of ``total`` leapfrog draws land in the given chunk."""
-    total = count_at_least("total", total, 0)
-    chunk_index, num_chunks = _chunk(chunk_index, num_chunks)
+    total = checked_int("total", total, 0)
+    num_chunks = checked_int("num_chunks", num_chunks, 1)
+    chunk_index = checked_int("chunk_index", chunk_index, 0, num_chunks - 1)
     return max(0, (total - chunk_index + num_chunks - 1) // num_chunks)

@@ -21,11 +21,10 @@ when :func:`initialize` runs, not with this module.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
-from .phase import BLOCK_TRIALS, PhaseStream, count_at_least, wrap_angle
+from .phase import BLOCK_TRIALS, PhaseStream, checked_int, wrap_angle
 from .signals import dichotomic_array, run_counts
 
 if TYPE_CHECKING:
@@ -34,16 +33,12 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class Definite:
-    """A qubit pinned to a classical bit value, stored as a Python int."""
+    """A qubit pinned to a classical bit value, 0 or 1, stored as a Python int."""
 
     bit: int
 
     def __post_init__(self) -> None:
-        # a float bit is a TypeError; True is stored as 1
-        bit = int(operator.index(self.bit))
-        if bit not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {self.bit!r}")
-        object.__setattr__(self, "bit", bit)
+        object.__setattr__(self, "bit", checked_int("bit", self.bit, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -65,9 +60,10 @@ QubitState = Union[Definite, Balanced]
 
 @dataclass
 class VirtualRegister:
-    """Qubits measured against one shared phase stream.
+    """Qubits measured against one shared phase stream; qubit ``signal_index`` gates acceptance.
 
-    ``signal_index`` must be an integer and is stored as a Python int.
+    Like every integer input, ``signal_index`` passes
+    :func:`~phasebit.phase.checked_int` and is stored as a Python int.
     """
 
     qubits: list[QubitState]
@@ -80,9 +76,7 @@ class VirtualRegister:
         for q in self.qubits:
             if not isinstance(q, (Definite, Balanced)):
                 raise TypeError(f"not a qubit state: {q!r}")
-        self.signal_index = int(operator.index(self.signal_index))
-        if not 0 <= self.signal_index < len(self.qubits):
-            raise ValueError(f"signal_index {self.signal_index} outside register")
+        self.signal_index = checked_int("signal_index", self.signal_index, 0, len(self.qubits) - 1)
 
 
 # an array has no single truth value, so equality is identity: compare .bits
@@ -162,7 +156,7 @@ def initialize(register: VirtualRegister, trials: int) -> AcceptedTrials:
     """
     import numpy as np  # loaded first, so an iid count hashes in numpy blocks
 
-    trials = count_at_least("trials", trials, 1)
+    trials = checked_int("trials", trials, 1)
     n_accepted = _accepted_count(register, trials)
     bits = np.empty((len(register.qubits), n_accepted), dtype=np.int8)
     filled = 0
@@ -194,11 +188,8 @@ def cnot(control_bit: int, target_bit: int) -> int:
 
     The control bit itself is never modified.
     """
-    if control_bit not in (0, 1):
-        raise ValueError(f"control bit must be 0 or 1, got {control_bit!r}")
-    if target_bit not in (0, 1):
-        raise ValueError(f"target bit must be 0 or 1, got {target_bit!r}")
-    return target_bit ^ control_bit
+    control_bit = checked_int("control_bit", control_bit, 0, 1)
+    return checked_int("target_bit", target_bit, 0, 1) ^ control_bit
 
 
 def apply_cnot_to_bits(bits: np.ndarray, control: int, target: int) -> np.ndarray:
@@ -207,12 +198,11 @@ def apply_cnot_to_bits(bits: np.ndarray, control: int, target: int) -> np.ndarra
     Returns a copy in which the target row is XORed with the control row;
     ``bits`` and the control row are left unchanged.
     """
-    control, target = int(operator.index(control)), int(operator.index(target))
+    last = len(bits) - 1
+    control = checked_int("control", control, 0, last)
+    target = checked_int("target", target, 0, last)
     if control == target:
         raise ValueError("control and target must differ")
-    rows = len(bits)
-    if not (0 <= control < rows and 0 <= target < rows):
-        raise ValueError(f"qubit index outside register of {rows} qubits")
     out = bits.copy()
     out[target] ^= bits[control]
     return out

@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .phase import PHASE_STEPS, PhaseStream, count_at_least, step_phase, steps_below, wrap_angle
+from .phase import PHASE_STEPS, PhaseStream, checked_int, step_phase, steps_below, wrap_angle
 from .phase import chunk_quota, substream  # unused here; bench/layer_trace.py wraps them by these names
 
 if TYPE_CHECKING:
@@ -110,10 +110,8 @@ class CorrelationEstimate:
     @classmethod
     def from_product_sum(cls, total: int, n: int) -> "CorrelationEstimate":
         """Build the estimate from an exact integer sum of ``n`` products."""
-        n = count_at_least("n", n, 1)
-        if abs(total) > n:
-            raise ValueError("product sum cannot exceed the sample count")
-        mean = total / n
+        n = checked_int("n", n, 1)
+        mean = checked_int("total", total, -n, n) / n
         return cls(mean=mean, stderr=math.sqrt((1.0 - mean * mean) / n), n=n)
 
 
@@ -168,7 +166,7 @@ def run_counts(
     """
     checked = []
     for stream, angles, n in windows:
-        n = count_at_least("n", n, 1)
+        n = checked_int("n", n, 1)
         angles = [wrap_angle(a) for a in angles]
         edges = sorted(set().union(*(sign_edges(a) for a in angles)))
         checked.append((stream, angles, n, edges))

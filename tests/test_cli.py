@@ -165,13 +165,16 @@ def test_empty_angle_key_is_a_config_error(tmp_path, capsys):
     assert err == "phasebit: config error: empty angle list\n"
 
 
-def test_env_seed_matches_explicit_seed(tmp_path, monkeypatch):
-    out_env, out_flag = tmp_path / "env.csv", tmp_path / "flag.csv"
+def test_a_seed_in_the_environment_changes_no_output(tmp_path, monkeypatch):
+    # the seed comes from --seed or a config file's seed key, never from the environment
+    out_env, out_plain, out_flag = (tmp_path / f"{name}.csv" for name in ("env", "plain", "flag"))
     monkeypatch.setenv("PHASEBIT_SEED", "77")
+    assert build_config({"command": "curve"}).model.seed == 0
     assert main(["curve", "--trials", "300", "--out", str(out_env)]) == 0
     monkeypatch.delenv("PHASEBIT_SEED")
+    assert main(["curve", "--trials", "300", "--out", str(out_plain)]) == 0
     assert main(["curve", "--trials", "300", "--seed", "77", "--out", str(out_flag)]) == 0
-    assert out_env.read_bytes() == out_flag.read_bytes()
+    assert out_env.read_bytes() == out_plain.read_bytes() != out_flag.read_bytes()
 
 
 # -------------------------------------------------------------- exit codes
@@ -276,8 +279,12 @@ def test_run_validates_its_config(capsys):
         {"command": "init", "angles": (0.0, 1.0), "signal_index": 0.5},
         {"workers": 1.5},
         {"angles": (0.0, "x")},
+        {"shared_trials": "false"},
+        {"out": 5},
+        {"model": "iid"},
     ],
-    ids=["trials", "trials-float", "signal_index", "workers", "angle"],
+    ids=["trials", "trials-float", "signal_index", "workers", "angle", "shared_trials", "out",
+         "model"],
 )
 def test_run_refuses_a_library_config_with_a_non_integer_or_non_real_field(fields, capsys):
     config = ExperimentConfig(
@@ -321,7 +328,6 @@ FLAG_VALUES = {
 
 @pytest.mark.parametrize("name", [name for name, key in KEYS.items() if key.flag])
 def test_flag_and_config_file_build_equal_configs(name, tmp_path, monkeypatch):
-    monkeypatch.delenv("PHASEBIT_SEED", raising=False)
     built = []
     monkeypatch.setattr(cli, "run", lambda config: built.append(config) or 0)
     key, value = KEYS[name], FLAG_VALUES[name]

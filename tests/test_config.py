@@ -88,15 +88,6 @@ def test_build_config_defaults():
     assert len(config.angles) == 4
 
 
-def test_env_seed_fallback(monkeypatch):
-    monkeypatch.setenv("PHASEBIT_SEED", "991")
-    assert build_config({"command": "curve"}).model.seed == 991
-    # explicit seed wins
-    assert build_config({"command": "curve", "seed": "5"}).model.seed == 5
-    monkeypatch.delenv("PHASEBIT_SEED")
-    assert build_config({"command": "curve"}).model.seed == 0
-
-
 # --------------------------------------------------------------- validation
 
 def make_config(**overrides):
@@ -150,6 +141,9 @@ def test_validate_init_signal_index():
     with pytest.raises(ConfigError):
         validate_config(make_config(command="init", signal_index=2))
     validate_config(make_config(command="init", signal_index=1))
+    # a negative index names no qubit, whichever command reads it
+    with pytest.raises(ConfigError, match="signal_index"):
+        validate_config(make_config(command="curve", signal_index=-1))
 
 
 # --------------------------------------------------------------- round-trip
@@ -229,8 +223,7 @@ def test_samples_cover_every_key():
 
 
 @pytest.mark.parametrize("raw,text", zip(SAMPLE_CONFIGS, SERIALIZED))
-def test_serialize_config_bytes(raw, text, monkeypatch):
-    monkeypatch.delenv("PHASEBIT_SEED", raising=False)
+def test_serialize_config_bytes(raw, text):
     assert serialize_config(build_config(dict(raw))) == text
 
 

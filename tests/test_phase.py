@@ -8,9 +8,17 @@ from phasebit import (
     IID_UNIFORM,
     OSCILLATOR_ENSEMBLE,
     TWO_PI,
+    Balanced,
+    CorrelationEstimate,
+    Definite,
     PhaseModel,
     PhaseStream,
+    VirtualRegister,
+    apply_cnot,
+    apply_hadamard,
+    basis_state,
     chunk_quota,
+    initialize,
     make_phase_stream,
     phases_at,
     substream,
@@ -344,6 +352,8 @@ def test_steps_below_rejects_bad_steps_and_counts(model):
     for n, steps in ((-1, [1]), (10, [-1]), (10, [PHASE_STEPS + 1]), (10, [1, PHASE_STEPS + 1])):
         with pytest.raises(ValueError):
             steps_below([(stream, n, steps)])
+    with pytest.raises(TypeError):
+        steps_below([(stream, 10, [1.0])])
     assert steps_below([(stream, 0, [0, 1, PHASE_STEPS])])[0] == [0, 0, 0]
     assert stream.position == 0
 
@@ -540,6 +550,8 @@ def test_substream_rejects_out_of_range_chunk():
         substream(stream, -1, 4)
     with pytest.raises(ValueError):
         substream(stream, 0, 0)
+    with pytest.raises(TypeError):
+        substream(stream, 1.0, 4)
 
 
 def test_chunk_quota_sums_to_total():
@@ -616,3 +628,38 @@ def test_numpy_integer_counts_give_the_stream_of_the_equal_ints(kind):
     below = steps_below([(stream, np.int64(100), [2**52])])[0]
     assert below == steps_below([(stream, 100, [2**52])])[0]
     assert [type(v) for v in below] == [int]
+
+
+# Every public integer input: (its name, a call fed ``value`` there, its last
+# valid value, the value one step past it).
+INTEGER_INPUTS = [
+    ("trials", lambda value: initialize(VirtualRegister([Balanced(0.0)], make_phase_stream(_IID)),
+                                        value), 1, 0),
+    ("count", lambda value: make_phase_stream(_IID).take(value), 0, -1),
+    ("start", lambda value: PhaseStream(_IID, start=value), 0, -1),
+    ("stride", lambda value: PhaseStream(_IID, stride=value), 1, 0),
+    ("n", lambda value: CorrelationEstimate.from_product_sum(0, value), 1, 0),
+    ("num_chunks", lambda value: substream(make_phase_stream(_IID), 0, value), 1, 0),
+    ("chunk_index", lambda value: chunk_quota(10, value, 4), 3, 4),
+    ("seed", lambda value: PhaseModel(seed=value), 2**64 - 1, 2**64),
+    ("ensemble_size", lambda value: PhaseModel(ensemble_size=value), 2**20, 2**20 + 1),
+    ("burn_in", lambda value: PhaseModel(kind=OSCILLATOR_ENSEMBLE, burn_in=value), 0, -1),
+    ("bit", Definite, 1, 2),
+    ("signal_index",
+     lambda value: VirtualRegister([Balanced(0.0)] * 2, make_phase_stream(_IID), value), 1, 2),
+    ("n_qubits", lambda value: basis_state(value, 0), 10, 11),
+    ("index", lambda value: basis_state(2, value), 3, 4),
+    ("control", lambda value: apply_cnot(basis_state(2, 0), value, 1), 0, -1),
+    ("target", lambda value: apply_hadamard(basis_state(2, 0), value), 1, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "name,call,last,past", INTEGER_INPUTS, ids=[entry[0] for entry in INTEGER_INPUTS]
+)
+def test_every_integer_input_names_itself_when_refused(name, call, last, past):
+    call(last)
+    with pytest.raises(TypeError, match=rf"^{name} must be an integer"):
+        call(float(last))
+    with pytest.raises(ValueError, match=rf"^{name} must be "):
+        call(past)

@@ -336,6 +336,9 @@ def test_cnot_rejects_non_bits():
         cnot(2, 0)
     with pytest.raises(ValueError):
         cnot(0, -1)
+    for control, target in ((1.0, 0), (0, 1.0)):
+        with pytest.raises(TypeError):
+            cnot(control, target)
 
 
 def test_apply_cnot_to_bits_flips_target_where_control_set():

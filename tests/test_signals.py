@@ -505,6 +505,10 @@ def test_from_product_sum_validation():
         CorrelationEstimate.from_product_sum(0, 0)
     with pytest.raises(ValueError):
         CorrelationEstimate.from_product_sum(11, 10)
+    with pytest.raises(ValueError):
+        CorrelationEstimate.from_product_sum(-11, 10)
+    with pytest.raises(TypeError):
+        CorrelationEstimate.from_product_sum(4.0, 10)
 
 
 @pytest.mark.parametrize("kind", ["iid", "oscillator"])
