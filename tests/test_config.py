@@ -88,6 +88,15 @@ def test_build_config_defaults():
     assert len(config.angles) == 4
 
 
+def test_env_seed_fallback(monkeypatch):
+    # PHASEBIT_SEED is not read: without a seed key the seed falls back to 0
+    monkeypatch.setenv("PHASEBIT_SEED", "991")
+    assert build_config({"command": "curve"}).model.seed == 0
+    assert build_config({"command": "curve", "seed": "5"}).model.seed == 5
+    monkeypatch.delenv("PHASEBIT_SEED")
+    assert build_config({"command": "curve"}).model.seed == 0
+
+
 # --------------------------------------------------------------- validation
 
 def make_config(**overrides):
