@@ -28,7 +28,7 @@ from .config import (
     validate_config,
 )
 from .oracle import chsh_quantum, singlet_correlation
-from .phase import make_phase_stream
+from .phase import BLOCK_TRIALS, make_phase_stream
 from .register import Balanced, Definite, VirtualRegister, cnot, hadamard, initialize
 from .stats import chsh_classical, correlation_curve
 
@@ -108,13 +108,26 @@ def _run_chsh(config: ExperimentConfig):
 
 
 def _run_init(config: ExperimentConfig):
+    """Post-select ``config.trials`` trials one window of ``BLOCK_TRIALS`` at a time.
+
+    Each :func:`initialize` call on the same register advances its stream's
+    cursor, so the windows walk the trials of one whole-run call in the same
+    order.  Only each window's accepted count and ones per qubit are kept, as
+    Python ints, so the command holds one window of accepted columns and its
+    memory is O(``BLOCK_TRIALS``) at any ``--trials``.
+    """
     stream = make_phase_stream(config.model)
     register = VirtualRegister(
         [Balanced(a) for a in config.angles], stream, signal_index=config.signal_index
     )
-    accepted = initialize(register, config.trials)
-    n_accepted = len(accepted)
-    ones_per_qubit = accepted.bits.sum(axis=1).tolist()
+    n_accepted = 0
+    ones_per_qubit = [0] * len(register.qubits)
+    for done in range(0, config.trials, BLOCK_TRIALS):
+        accepted = initialize(register, min(BLOCK_TRIALS, config.trials - done))
+        n_accepted += len(accepted)
+        ones_per_qubit = [
+            total + ones for total, ones in zip(ones_per_qubit, accepted.bits.sum(axis=1).tolist())
+        ]
     rows = []
     for index, (q, ones) in enumerate(zip(register.qubits, ones_per_qubit)):
         if n_accepted:

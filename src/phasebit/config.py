@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Mapping, NamedTuple
 
@@ -197,6 +198,8 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"out path must not be empty; use {STDOUT_SENTINEL!r} for stdout")
     if not isinstance(config.shared_trials, bool):
         raise ConfigError(f"shared_trials must be true or false, got {config.shared_trials!r}")
+    if not isinstance(config.angles, Sequence):
+        raise ConfigError(f"angles must be a sequence of real numbers, got {config.angles!r}")
     if not config.angles:
         raise ConfigError("angle list must not be empty")
     if any(not isinstance(a, numbers.Real) for a in config.angles):

@@ -3,12 +3,15 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from phasebit import ExperimentConfig, PhaseModel, cli
 from phasebit.cli import emit_csv, main, run
 from phasebit.config import COMMANDS, KEYS, build_config
+from phasebit.phase import BLOCK_TRIALS
+from phasebit.register import Balanced, VirtualRegister, initialize
 
 CANONICAL_ANGLES = "0,pi/2,pi/4,3pi/4"
 
@@ -99,6 +102,61 @@ def test_init_signal_row_is_pure_zero(capsys):
     assert lines[0] == "qubit,alpha,n_trials,n_accepted,p_bit0,stderr"
     signal = lines[1].split(",")
     assert signal[0] == "0" and signal[4] == "1" and signal[5] == "0"
+
+
+def _whole_run_init_rows(config):
+    """The init rows from one ``initialize`` call over every trial: the windowed CLI's reference."""
+    register = VirtualRegister(
+        [Balanced(a) for a in config.angles],
+        cli.make_phase_stream(config.model),
+        signal_index=config.signal_index,
+    )
+    accepted = initialize(register, config.trials)
+    n = len(accepted)
+    rows = []
+    for index, (q, ones) in enumerate(zip(register.qubits, accepted.bits.sum(axis=1).tolist())):
+        p_bit0 = (n - ones) / n if n else math.nan
+        stderr = math.sqrt(p_bit0 * (1.0 - p_bit0) / n) if n else math.nan
+        rows.append((index, q.alpha, config.trials, n, p_bit0, stderr))
+    return rows
+
+
+INIT_MODELS = {
+    "iid": PhaseModel(kind="iid", seed=17),
+    "oscillator": PhaseModel(kind="oscillator", seed=17),
+    "oscillator-burn-in": PhaseModel(kind="oscillator", seed=17, burn_in=2**62 + 12345),
+}
+
+
+@pytest.mark.parametrize("signal_index", [0, 2], ids=["first-signal", "last-signal"])
+@pytest.mark.parametrize(
+    "trials", [BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1, 2 * BLOCK_TRIALS + 5]
+)
+@pytest.mark.parametrize("model", INIT_MODELS.values(), ids=INIT_MODELS.keys())
+def test_init_windows_give_the_rows_of_one_whole_run(model, trials, signal_index, capsys):
+    config = ExperimentConfig(
+        command="init", model=model, trials=trials, angles=(0.3, 2.1, -1.2),
+        signal_index=signal_index,
+    )
+    assert run(config) == 0
+    out = capsys.readouterr().out
+    emit_csv(cli.INIT_FIELDS, _whole_run_init_rows(config), "-")
+    assert out == capsys.readouterr().out
+
+
+def test_init_memory_does_not_grow_with_trials():
+    angles = tuple(0.4 * k for k in range(8))
+    # a first run loads numpy, so the traced run allocates only what a run holds
+    assert run(ExperimentConfig(command="init", model=PhaseModel(), trials=1, angles=angles)) == 0
+    config = ExperimentConfig(command="init", model=PhaseModel(), trials=10**6, angles=angles)
+    tracemalloc.start()
+    try:
+        assert run(config) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one window of accepted columns and block buffers; the whole run's columns are 4 MB
+    assert peak < 40 * BLOCK_TRIALS
 
 
 def test_gates_truth_table(capsys):
@@ -279,12 +337,13 @@ def test_run_validates_its_config(capsys):
         {"command": "init", "angles": (0.0, 1.0), "signal_index": 0.5},
         {"workers": 1.5},
         {"angles": (0.0, "x")},
+        {"angles": 5},
         {"shared_trials": "false"},
         {"out": 5},
         {"model": "iid"},
     ],
-    ids=["trials", "trials-float", "signal_index", "workers", "angle", "shared_trials", "out",
-         "model"],
+    ids=["trials", "trials-float", "signal_index", "workers", "angle", "angles", "shared_trials",
+         "out", "model"],
 )
 def test_run_refuses_a_library_config_with_a_non_integer_or_non_real_field(fields, capsys):
     config = ExperimentConfig(
