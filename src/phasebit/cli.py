@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -209,25 +210,22 @@ def run(config: ExperimentConfig) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="key = value config file")
-    for name, key in KEYS.items():
-        if key.flag is None:  # set by the subcommand
-            command = name
-        elif key.metavar is None:  # a switch
-            common.add_argument(
-                key.flag, dest=name, action="store_const", const="false", help=key.help
-            )
-        else:
-            common.add_argument(key.flag, dest=name, metavar=key.metavar, help=key.help)
-
     parser = argparse.ArgumentParser(
         prog="phasebit",
         description="Deterministic experiments on shared-phase dichotomic signals.",
+        epilog="commands:" + "".join(f"\n  {n:<9} {h}" for n, (_, h) in _RUNNERS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    subparsers = parser.add_subparsers(dest=command, required=True)
-    for name, (_, help_text) in _RUNNERS.items():
-        subparsers.add_parser(name, parents=[common], help=help_text)
+    parser.add_argument("--config", metavar="PATH", help="key = value config file")
+    for name, key in KEYS.items():
+        if key.flag is None:  # the command, a positional
+            parser.add_argument(name, choices=_RUNNERS)
+        elif key.metavar is None:  # a switch
+            parser.add_argument(
+                key.flag, dest=name, action="store_const", const="false", help=key.help
+            )
+        else:
+            parser.add_argument(key.flag, dest=name, metavar=key.metavar, help=key.help)
     return parser
 
 
@@ -246,6 +244,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # no BLAS call here; its pool only spins
     args = _build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)

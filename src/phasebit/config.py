@@ -106,7 +106,7 @@ _EXPECTED = {int: "an integer", float: "a number", _parse_bool: "true or false"}
 class Key(NamedTuple):
     """How one config key is read from text and set on the command line.
 
-    A key without a flag is set by the subcommand; a flag without a
+    A key without a flag is the positional command; a flag without a
     metavar is a switch that sets its key to false.
     """
 
@@ -125,8 +125,8 @@ KEYS = {
     "frequency_spread": Key(float, "--frequency-spread", "X", "oscillator rate upper bound"),
     "burn_in": Key(int, "--burn-in", "N", "oscillator samples discarded before output"),
     "trials": Key(int, "--trials", "N", "samples per estimate (default 10000)"),
-    "angles": Key(parse_angles, "--angles", "LIST",
-                  "comma-separated angles; 'pi' forms allowed, e.g. 0,pi/4,pi/2"),
+    "angles": Key(parse_angles, "--angles", "LIST", "comma-separated angles; 'pi' forms allowed, "
+                  "e.g. 0,pi/4,pi/2; a list that starts with '-' is written --angles=-pi/4,pi/4"),
     "out": Key(str, "--out", "PATH", "output file, '-' for stdout (default)"),
     "format": Key(str, "--format", "FMT", f"output format: {' | '.join(FORMATS)}"),
     "workers": Key(int, "--workers", "N",

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -223,6 +224,14 @@ def test_empty_angle_key_is_a_config_error(tmp_path, capsys):
     assert err == "phasebit: config error: empty angle list\n"
 
 
+def test_a_list_that_starts_with_a_minus_sign_is_read_after_an_equals_sign(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("angles = -pi/4, pi/4\n", encoding="utf-8")
+    code, out_flag, _ = run_cli(["curve", "--trials", "1000", "--angles=-pi/4,pi/4"], capsys)
+    assert code == 0
+    assert (0, out_flag) == run_cli(["curve", "--trials", "1000", "--config", str(cfg)], capsys)[:2]
+
+
 def test_env_seed_matches_explicit_seed(tmp_path, monkeypatch):
     # PHASEBIT_SEED is not read: a run under it matches the explicit default seed,
     # and only --seed (or a config file's seed key) changes the output
@@ -233,6 +242,43 @@ def test_env_seed_matches_explicit_seed(tmp_path, monkeypatch):
     assert main(["curve", "--trials", "300", "--seed", "0", "--out", str(out_zero)]) == 0
     assert main(["curve", "--trials", "300", "--seed", "77", "--out", str(out_flag)]) == 0
     assert out_env.read_bytes() == out_zero.read_bytes() != out_flag.read_bytes()
+
+
+# ------------------------------------------------------------- the parser
+
+OPTIONS = ["--seed", "3", "--trials", "2000", "--format", "json"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_options_before_the_command_give_the_bytes_of_options_after_it(command, capsys):
+    code, after, _ = run_cli([command, *OPTIONS], capsys)
+    assert code == 0
+    assert (0, after) == run_cli([*OPTIONS, command], capsys)[:2]
+
+
+def test_help_names_every_command_and_its_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name, (_, help_text) in cli._RUNNERS.items():
+        assert re.search(rf"^ +{name} +{re.escape(help_text)}$", out, re.MULTILINE)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "phasebit: error: the following arguments are required: command\n"),
+        (["run", "--trials", "10"], "phasebit: error: argument command: invalid choice: 'run' "),
+    ],
+)
+def test_a_missing_or_unknown_command_exits_2_with_the_argparse_message(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: phasebit ")
+    assert message in captured.err
 
 
 # -------------------------------------------------------------- exit codes
@@ -423,6 +469,30 @@ def test_python_m_phasebit_subprocess():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("delta_alpha,")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_the_cli_asks_openblas_for_one_thread_unless_the_user_set_it():
+    script = (
+        "import os, sys\n"
+        "before = dict(os.environ)\n"
+        "import phasebit, phasebit.cli\n"
+        "assert dict(os.environ) == before\n"
+        "assert phasebit.cli.main(['curve', '--trials', '100000', '--out', os.devnull]) == 0\n"
+        "print('numpy' in sys.modules, len(os.listdir('/proc/self/task')),"
+        " os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    )
+
+    def numpy_loaded_threads_and_variable(env):
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout.split()
+
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    assert numpy_loaded_threads_and_variable(env) == ["True", "1", "1"]
+    assert numpy_loaded_threads_and_variable({**env, "OPENBLAS_NUM_THREADS": "2"})[2] == "2"
 
 
 def test_oscillator_chsh_runs_at_the_largest_trial_count_the_guard_admits():
