@@ -29,8 +29,9 @@ from .config import (
     validate_config,
 )
 from .oracle import chsh_quantum, singlet_correlation
-from .phase import BLOCK_TRIALS, make_phase_stream
+from .phase import BLOCK_TRIALS, OSCILLATOR_ENSEMBLE, make_phase_stream
 from .register import Balanced, Definite, VirtualRegister, cnot, hadamard, initialize
+from .signals import run_counts
 from .stats import chsh_classical, correlation_curve
 
 CURVE_FIELDS = ("delta_alpha", "m_analytic", "m_estimated", "stderr", "n")
@@ -109,26 +110,42 @@ def _run_chsh(config: ExperimentConfig):
 
 
 def _run_init(config: ExperimentConfig):
-    """Post-select ``config.trials`` trials one window of ``BLOCK_TRIALS`` at a time.
+    """Post-select ``config.trials`` trials and report each qubit's bit-0 rate.
 
-    Each :func:`initialize` call on the same register advances its stream's
-    cursor, so the windows walk the trials of one whole-run call in the same
-    order.  Only each window's accepted count and ones per qubit are kept, as
-    Python ints, so the command holds one window of accepted columns and its
-    memory is O(``BLOCK_TRIALS``) at any ``--trials``.
+    The ``oscillator`` counts in closed form, so its trials are one
+    :func:`run_counts` call over all the register's angles, a masked sum
+    that draws no phase.  Let ``acc`` be the runs on which the signal qubit
+    reads +1: ``n_accepted`` is the trial count on ``acc``, and a qubit's
+    count of ones the trial count on those runs of ``acc`` where it reads
+    -1.  That takes milliseconds at any ``--trials`` and imports no numpy.
+
+    The ``iid`` register is post-selected by :func:`initialize` one window
+    of ``BLOCK_TRIALS`` at a time.  Each call on the same register advances
+    its stream's cursor, so the windows walk the trials of one whole-run
+    call in the same order.  Only each window's accepted count and ones per
+    qubit are kept, as Python ints, so the command holds one window of
+    accepted columns and its memory is O(``BLOCK_TRIALS``) at any
+    ``--trials``.
     """
     stream = make_phase_stream(config.model)
     register = VirtualRegister(
         [Balanced(a) for a in config.angles], stream, signal_index=config.signal_index
     )
-    n_accepted = 0
-    ones_per_qubit = [0] * len(register.qubits)
-    for done in range(0, config.trials, BLOCK_TRIALS):
-        accepted = initialize(register, min(BLOCK_TRIALS, config.trials - done))
-        n_accepted += len(accepted)
-        ones_per_qubit = [
-            total + ones for total, ones in zip(ones_per_qubit, accepted.bits.sum(axis=1).tolist())
-        ]
+    if config.model.kind == OSCILLATOR_ENSEMBLE:
+        ((runs, signs),) = run_counts([(stream, config.angles, config.trials)])
+        acc = [i for i, green in enumerate(signs[config.signal_index]) if green > 0]
+        n_accepted = sum(runs[i] for i in acc)
+        ones_per_qubit = [sum(runs[i] for i in acc if q_signs[i] < 0) for q_signs in signs]
+    else:
+        n_accepted = 0
+        ones_per_qubit = [0] * len(register.qubits)
+        for done in range(0, config.trials, BLOCK_TRIALS):
+            accepted = initialize(register, min(BLOCK_TRIALS, config.trials - done))
+            n_accepted += len(accepted)
+            ones_per_qubit = [
+                total + ones
+                for total, ones in zip(ones_per_qubit, accepted.bits.sum(axis=1).tolist())
+            ]
     rows = []
     for index, (q, ones) in enumerate(zip(register.qubits, ones_per_qubit)):
         if n_accepted:
@@ -218,8 +235,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", metavar="PATH", help="key = value config file")
     for name, key in KEYS.items():
-        if key.flag is None:  # the command, a positional
-            parser.add_argument(name, choices=_RUNNERS)
+        if key.flag is None:  # the command: a positional, else the config file's key
+            parser.add_argument(
+                name, nargs="?", choices=_RUNNERS,
+                help="the command to run; without it, the config file's command key",
+            )
         elif key.metavar is None:  # a switch
             parser.add_argument(
                 key.flag, dest=name, action="store_const", const="false", help=key.help
@@ -245,7 +265,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv: Sequence[str] | None = None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # no BLAS call here; its pool only spins
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command is None and not args.config:
+        parser.error("the following arguments are required: command")
     try:
         config = _config_from_args(args)
     except ConfigError as exc:

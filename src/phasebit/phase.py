@@ -17,12 +17,12 @@ bits of its uint64 turns, so a trial's step is below ``e`` exactly when its
 turns are below ``e << 11``.  :func:`steps_below` counts, for each of a
 list of stream windows, the trials below given steps in that integer
 domain, for both models.  The ``iid`` windows of one call are hashed
-together and compared as turns, converting none to radians: in Python
-ints when they total at most ``BLOCK_TRIALS`` trials and numpy is not
-loaded, otherwise in numpy blocks of ``BLOCK_TRIALS`` counters whose
-buffers all the windows share.  The ``oscillator``'s turns along a stream
-form an arithmetic progression mod ``2**64``, so its count is a closed
-form and generates no turn at all.
+together and compared as turns, converting none to radians: in 128-bit
+lanes of Python ints when they total at most ``4 * BLOCK_TRIALS`` trials
+and numpy is not loaded, otherwise in numpy blocks of ``BLOCK_TRIALS``
+counters whose buffers all the windows share.  The ``oscillator``'s turns
+along a stream form an arithmetic progression mod ``2**64``, so its count
+is a closed form and generates no turn at all.
 
 Because a phase is a pure function of ``(model, trial index)``, streams are
 reproducible bit-for-bit across runs and platforms, and leapfrog substreams
@@ -32,17 +32,15 @@ each of them counts its trials in one serial pass.
 
 numpy is imported only by the functions that build arrays,
 :func:`phases_at` and :meth:`PhaseStream.take`, and by an ``iid`` count
-over more than one block of trials, or any ``iid`` count once numpy is
-loaded: hashing one block in Python ints costs less than importing
-numpy.  The oscillator's rate sum is hashed in Python ints, so an
-oscillator count runs without numpy.
+over more than ``4 * BLOCK_TRIALS`` trials, or any ``iid`` count once
+numpy is loaded: hashing that many trials in Python-int lanes costs less
+than importing numpy.  The oscillator's rate sum is hashed in Python ints,
+so an oscillator count runs without numpy.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
-import itertools
 import math
 import operator
 import sys
@@ -76,6 +74,13 @@ _STEP_SHIFT = 64 - 53
 _INV_2POW53 = 1.0 / PHASE_STEPS
 # Trials per array pass; bounds memory at O(block) without changing a count.
 BLOCK_TRIALS = 1 << 16
+# Trials per Python-int pass: 2**11 lanes of 128 bits make one 32 KB int.
+_LANES = 1 << 11
+# The most iid trials one steps_below call hashes in Python-int lanes while
+# numpy is not loaded.  On 2 shared vCPUs with Python 3.11 the lanes took
+# 190-320 ns a trial, so 2**18 trials cost 50-85 ms, below numpy's measured
+# 95-140 ms import; once loaded, numpy's blocks take under 10 ns a trial.
+_INT_TRIALS = 4 * BLOCK_TRIALS
 # 2*pi / 2**53 is exact, so k * _STEP_RADIANS rounds as (k / 2**53) * 2*pi does
 _STEP_RADIANS = _INV_2POW53 * TWO_PI
 
@@ -330,10 +335,11 @@ def steps_below(windows: Sequence[tuple[PhaseStream, int, Sequence[int]]]) -> li
     indices that would reach ``2**63`` raise ``ValueError``, as in
     :meth:`PhaseStream.take`.  No cursor moves.
 
-    The ``iid`` windows are counted together: in Python ints when they total
-    at most ``BLOCK_TRIALS`` trials and numpy is not loaded yet, since
-    hashing one block costs less than importing numpy; in numpy blocks
-    otherwise.  Both give the same counts.
+    The ``iid`` windows are counted together: in Python-int lanes when they
+    total at most ``4 * BLOCK_TRIALS`` trials and numpy is not loaded yet,
+    since hashing that many costs less than importing numpy (measured in
+    the comment at ``_INT_TRIALS``); in numpy blocks otherwise.  Both give
+    the same counts.
     """
     checked = []
     for stream, n, steps in windows:
@@ -342,7 +348,7 @@ def steps_below(windows: Sequence[tuple[PhaseStream, int, Sequence[int]]]) -> li
         limits = [checked_int("step", step, 0, PHASE_STEPS) << _STEP_SHIFT for step in steps]
         checked.append((stream.model, first, stream.stride, n, limits))
     iid = [w for w in checked if w[0].kind == IID_UNIFORM]
-    if sum(w[3] for w in iid) <= BLOCK_TRIALS and "numpy" not in sys.modules:
+    if sum(w[3] for w in iid) <= _INT_TRIALS and "numpy" not in sys.modules:
         count_iid = _iid_turns_below_int
     else:
         count_iid = _iid_turns_below
@@ -353,28 +359,53 @@ def steps_below(windows: Sequence[tuple[PhaseStream, int, Sequence[int]]]) -> li
     ]
 
 
-def _iid_turns_below_int(windows: list[tuple]) -> list[list[int]]:
-    """:func:`_iid_turns_below` in Python ints, one splitmix64 at a time.
+@functools.lru_cache(maxsize=8)
+def _lanes(size: int) -> tuple[int, int, int]:
+    """``(ones, low, index)``: Python ints of ``size`` 128-bit lanes, lane ``j`` at bit ``128*j``.
 
-    Each trial's turns fall in one bin of the sorted distinct limits, and a
-    limit's count is the sum of the bins below it, so the limits may come
-    in any order, repeat, or be ``0`` or ``2**64``.
+    Every lane of ``ones`` holds 1, of ``low`` ``2**64 - 1``, and lane ``j``
+    of ``index`` holds ``j``.  They are built from bytes: the ``array``
+    module would add its shared library to every command's memory.
     """
-    mask, mix1, mix2 = _TURN - 1, _MIX1, _MIX2
+    ones = int.from_bytes((1).to_bytes(16, "little") * size, "little")
+    index = int.from_bytes(b"".join(j.to_bytes(16, "little") for j in range(size)), "little")
+    return ones, ones * (_TURN - 1), index
+
+
+def _iid_turns_below_int(windows: list[tuple]) -> list[list[int]]:
+    """:func:`_iid_turns_below` in Python ints, one lane of 128 bits per trial (SWAR).
+
+    A block of up to ``_LANES`` trials is one int with trial ``j``'s uint64
+    in the low half of lane ``j``.  The high half leaves room for a
+    product of two uint64, so splitmix64 runs on all lanes at once as
+    whole-int shifts, xors, multiplies and ``& low`` masks, no carry ever
+    crossing a lane.  Lane ``j`` of ``(2**64 + c - 1)*ones - z`` has bit 64
+    set exactly when its turns are below ``c``, and borrows from no other
+    lane, so a limit's count is one subtraction, one mask and
+    ``bit_count``.  That holds at ``c = 0`` and ``c = 2**64`` too, and the
+    limits may come in any order or repeat.  The largest int is 32 KB.
+    """
     counts = []
     for model, first, stride, n, limits in windows:
         cuts = sorted(set(limits))
-        bins = [0] * (len(cuts) + 1)
-        # _hash64_int inlined; trial first + stride*j hashes
-        # (first + 1)*GAMMA + seed + j*(stride*GAMMA)
-        z = ((first + 1) * _GAMMA + model.seed) & mask
-        step = stride * _GAMMA & mask
-        for _ in range(n):
-            x = (z ^ z >> 30) * mix1 & mask
-            x = (x ^ x >> 27) * mix2 & mask
-            bins[bisect.bisect_right(cuts, x ^ x >> 31)] += 1
-            z = z + step & mask
-        below = dict(zip(cuts, itertools.accumulate(bins)))
+        below = dict.fromkeys(cuts, 0)
+        step = stride * _GAMMA % _TURN
+        size = 0
+        for done in range(0, n, _LANES):
+            if size != min(_LANES, n - done):  # the first block, or a shorter last one
+                size = min(_LANES, n - done)
+                ones, low, index = _lanes(size)
+                ramp = index * step & low
+                signs = ones << 64
+                bars = [(c, (_TURN + c - 1) * ones) for c in cuts]
+            # trial first + stride*(done + j) hashes (first + stride*done + 1)*GAMMA + seed + j*step
+            offset = ((first + stride * done + 1) * _GAMMA + model.seed) % _TURN
+            z = ramp + offset * ones & low
+            z = (z ^ z >> 30 & low) * _MIX1 & low
+            z = (z ^ z >> 27 & low) * _MIX2 & low
+            z ^= z >> 31 & low
+            for c, bar in bars:
+                below[c] += (bar - z & signs).bit_count()
         counts.append([below[c] for c in limits])
     return counts
 

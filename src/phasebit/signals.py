@@ -29,11 +29,14 @@ trial count of each run and every angle's signal on it, all in one such
 call; the signal on each run is read from :func:`dichotomic` at the run's
 first phase.  :func:`sign_product_sums` weights the runs by a pair's
 product, and :func:`~phasebit.register.initialize` sizes its output from
-the runs on which the signal qubit reads ``+1``.  Counts and ``+-1``
-product sums are Python ints, so the result does not depend on the
-blocking or the counting method.  The kernel itself needs no numpy: only
+the runs on which the signal qubit reads ``+1``; the CLI's oscillator
+``init`` is that sum alone, with each qubit's ones summed over the
+accepted runs on which it reads ``-1``.  Counts and ``+-1`` product sums
+are Python ints, so the result does not depend on the blocking or the
+counting method.  The kernel itself needs no numpy: only
 :func:`dichotomic_array` imports it, and the ``iid`` count does when its
-windows total more than one block of trials or numpy is already loaded.
+windows total more than ``4 * BLOCK_TRIALS`` trials or numpy is already
+loaded.
 """
 
 from __future__ import annotations

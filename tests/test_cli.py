@@ -106,7 +106,11 @@ def test_init_signal_row_is_pure_zero(capsys):
 
 
 def _whole_run_init_rows(config):
-    """The init rows from one ``initialize`` call over every trial: the windowed CLI's reference."""
+    """The init rows from one ``initialize`` call over every trial.
+
+    The reference for both of the CLI's paths: the iid windows and the
+    oscillator's masked sum over the run histogram.
+    """
     register = VirtualRegister(
         [Balanced(a) for a in config.angles],
         cli.make_phase_stream(config.model),
@@ -131,7 +135,7 @@ INIT_MODELS = {
 
 @pytest.mark.parametrize("signal_index", [0, 2], ids=["first-signal", "last-signal"])
 @pytest.mark.parametrize(
-    "trials", [BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1, 2 * BLOCK_TRIALS + 5]
+    "trials", [1, 2, BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1, 70001, 2 * BLOCK_TRIALS + 5]
 )
 @pytest.mark.parametrize("model", INIT_MODELS.values(), ids=INIT_MODELS.keys())
 def test_init_windows_give_the_rows_of_one_whole_run(model, trials, signal_index, capsys):
@@ -200,6 +204,26 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert code == 0
     assert out_file != out_flag
     assert out_flag.strip().split("\n")[1].endswith(",500")
+
+
+def test_the_config_file_gives_the_command_when_no_positional_does(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("command = curve\ntrials = 100\n", encoding="utf-8")
+    code, out, _ = run_cli(["--config", str(cfg)], capsys)
+    assert code == 0
+    assert (0, out) == run_cli(["curve", "--trials", "100"], capsys)[:2]
+    # the positional wins over the key
+    assert run_cli(["gates", "--config", str(cfg)], capsys)[:2] == run_cli(["gates"], capsys)[:2]
+
+
+def test_a_config_file_without_a_command_key_and_no_positional_is_a_config_error(
+    tmp_path, capsys
+):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("trials = 100\n", encoding="utf-8")
+    code, out, err = run_cli(["--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert err == "phasebit: config error: missing 'command'\n"
 
 
 def test_missing_config_file_is_a_config_error(capsys):
@@ -505,6 +529,19 @@ def test_oscillator_chsh_runs_at_the_largest_trial_count_the_guard_admits():
     )
     assert result.returncode == 0, result.stderr
     assert abs(json.loads(result.stdout)[0]["s"]) <= 2.0
+
+
+def test_oscillator_init_counts_10_to_the_15_trials_in_closed_form():
+    trials = 10**15
+    result = subprocess.run(
+        [sys.executable, "-m", "phasebit", "init", "--model", "oscillator",
+         "--trials", str(trials), "--seed", "1", "--format", "json"],
+        capture_output=True, text=True, env=dict(os.environ), timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    rows = json.loads(result.stdout)
+    assert [row["n_trials"] for row in rows] == [trials, trials]
+    assert 0.49 * trials < rows[0]["n_accepted"] < 0.51 * trials
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -7,7 +7,8 @@ spans more than one 2**16-trial block.  Each file under
 run with numpy's ``RuntimeWarning``s as errors.  A change to any estimator
 must reproduce these bytes for every worker count; an intended output change
 regenerates them with ``PYTHONPATH=src python tests/test_golden.py`` and
-says why.  The commands that hash no trial must reproduce their files with
+says why.  The commands that import no numpy, because they hash no trial or
+at most ``4 * BLOCK_TRIALS`` of them, must reproduce their files with
 site-packages, and so numpy, out of reach.
 """
 
@@ -49,12 +50,12 @@ def test_output_matches_golden_bytes(name, workers, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
-# the golden configs that hash no trial
+# the golden configs that import no numpy: they hash no trial, or at most 4 * BLOCK_TRIALS
 NUMPY_FREE = [
     f"{stem}.{fmt}"
     for stem in (
         "gates-iid", "gates-oscillator", "curve-oscillator", "chsh-oscillator",
-        "chsh-independent-oscillator", "compare-oscillator",
+        "chsh-independent-oscillator", "compare-oscillator", "init-oscillator", "chsh-iid",
     )
     for fmt in ("csv", "json")
 ]
@@ -80,10 +81,12 @@ def test_numpy_free_commands_match_golden_bytes_without_numpy(name):
     assert done.stdout == (GOLDEN / name).read_bytes()
 
 
-# iid commands whose windows total at most BLOCK_TRIALS = 65536 trials hash them in Python ints
-ONE_BLOCK_IID = {
+# iid commands whose windows total at most 4 * BLOCK_TRIALS = 262144 trials hash them in
+# Python-int lanes
+NUMPY_FREE_IID = {
     "chsh": ["chsh", "--model", "iid", "--seed", SEED, "--trials", "65536"],
     "curve-17x3855": ["curve", "--model", "iid", "--seed", SEED, "--trials", "3855"],
+    "curve-17x15420": ["curve", "--model", "iid", "--seed", SEED, "--trials", "15420"],
     "compare-json": ["compare", "--model", "iid", "--seed", SEED, "--trials", "100",
                      "--format", "json"],
     "chsh-independent": ["chsh", "--model", "iid", "--seed", SEED, "--trials", "16384",
@@ -91,24 +94,43 @@ ONE_BLOCK_IID = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ONE_BLOCK_IID))
+@pytest.mark.parametrize("name", sorted(NUMPY_FREE_IID))
 def test_one_block_iid_commands_print_the_numpy_bytes_without_numpy(name, tmp_path):
     out = tmp_path / name
-    assert main([*ONE_BLOCK_IID[name], "--out", str(out)]) == 0  # numpy is loaded in here
-    done = run_without_site(["-m", "phasebit", *ONE_BLOCK_IID[name]])
+    assert main([*NUMPY_FREE_IID[name], "--out", str(out)]) == 0  # numpy is loaded in here
+    done = run_without_site(["-m", "phasebit", *NUMPY_FREE_IID[name]])
     assert done.returncode == 0, done.stderr
     assert done.stdout == out.read_bytes()
 
 
 def test_an_iid_command_past_one_block_counts_with_numpy(tmp_path):
-    # 17 points * 3856 trials = 65552 trials, one block and 16 trials
-    argv = ["curve", "--model", "iid", "--seed", SEED, "--trials", "3856",
+    # 17 points * 15421 trials = 262157 trials, 13 past 4 * BLOCK_TRIALS
+    argv = ["curve", "--model", "iid", "--seed", SEED, "--trials", "15421",
             "--out", str(tmp_path / "curve.csv")]
     done = subprocess.run(
         [sys.executable, "-c",
          "import sys; from phasebit.cli import main; "
          "assert 'numpy' not in sys.modules; assert main(sys.argv[1:]) == 0; "
          "sys.exit('numpy' not in sys.modules)", *argv],
+        capture_output=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("size", ["bench", "1"], ids=["bench-trials", "one-trial"])
+def test_the_short_runs_workload_loads_no_numpy(size):
+    script = (
+        "import os, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from workloads import WORKLOADS\n"
+        "from phasebit.cli import main\n"
+        "trials = None if sys.argv[2] == 'bench' else int(sys.argv[2])\n"
+        "for inv in WORKLOADS['short-runs'].invocations:\n"
+        "    assert main([*inv.argv(seed=7, trials=trials), '--out', os.devnull]) == 0\n"
+        "    assert 'numpy' not in sys.modules, inv.label\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "bench"), size],
         capture_output=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120,
     )
     assert done.returncode == 0, done.stderr

@@ -377,7 +377,7 @@ def test_oscillator_rates_are_drawn_once_per_model(monkeypatch):
 
 
 LIMITS = st.one_of(
-    st.sampled_from([0, 1, 2**63, 2**64 - 2**11, 2**64]),
+    st.sampled_from([0, 1, 2**63, 2**64 - 2**11, 2**64 - 1, 2**64]),
     st.integers(0, PHASE_STEPS).map(lambda step: step << 11),
 )
 
@@ -386,8 +386,12 @@ LIMITS = st.one_of(
 @given(
     seed=st.integers(0, 2**64 - 1),
     start=st.integers(0, 2**62),
-    stride=st.integers(1, 2**40),
-    n=st.one_of(st.integers(1, 64), st.integers(1, BLOCK_TRIALS)),
+    stride=st.one_of(st.sampled_from([1, 17, 51]), st.integers(1, 2**40)),
+    # 2**11 trials fill one Python-int pass; 4 * BLOCK_TRIALS is the most hashed in Python ints
+    n=st.one_of(
+        st.integers(1, 64), st.integers(1, BLOCK_TRIALS),
+        st.sampled_from([2**11 - 1, 2**11, 2**11 + 1, 4 * BLOCK_TRIALS]),
+    ),
     near_end=st.booleans(),
     limits=st.lists(LIMITS, max_size=8).flatmap(
         lambda base: st.permutations(base + base[: len(base) // 2])
@@ -397,6 +401,21 @@ LIMITS = st.one_of(
     seed=2**64 - 1, start=0, stride=2**40, n=BLOCK_TRIALS, near_end=True,
     limits=[2**64, 0, 2**63, 2**63],
 )
+@example(seed=2**64 - 1, start=0, stride=1, n=1, near_end=True, limits=[0, 1, 2**64 - 1, 2**64])
+@example(
+    seed=0, start=2**62, stride=17, n=2**11 - 1, near_end=False,
+    limits=[2**64 - 1, 2**63, 1, 2**63, 0],
+)
+@example(
+    seed=2**64 - 1, start=0, stride=51, n=2**11, near_end=True,
+    limits=[2**64, 2**64 - 1, 2**64 - 1, 1, 0],
+)
+@example(seed=20030101, start=5, stride=17, n=2**11 + 1, near_end=False, limits=[2**63, 2**63])
+@example(
+    seed=2**64 - 1, start=0, stride=51, n=4 * BLOCK_TRIALS, near_end=True,
+    limits=[0, 1, 2**62, 2**63, 2**63, 2**64 - 1, 2**64],
+)
+@example(seed=7, start=0, stride=1, n=4 * BLOCK_TRIALS, near_end=False, limits=[2**63, 2**64 - 1])
 def test_python_int_count_equals_the_numpy_count_bit_for_bit(
     seed, start, stride, n, near_end, limits
 ):
