@@ -6,7 +6,7 @@ so the surviving trials start from a known |0> signal. The other qubits
 keep their phase-induced correlation with the signal, which post-selection
 turns into controllable conditional statistics.
 
-Gates then act on qubit states and on the accepted bit columns:
+Gates then act on qubit states and on the accepted records:
 * Hadamard on a qubit state follows the determined-value rule: any
   balanced qubit collapses to definite 0, and definite qubits become
   balanced. Applying it twice does not restore the input (the unitary
@@ -44,14 +44,14 @@ def main():
     )
     print(f"Register: signal at angle 0, targets at pi/4 and pi; {TRIALS} trials")
 
-    bits = initialize(register, TRIALS).bits
-    accepted = bits.shape[1]
+    bits = initialize(register, TRIALS)
+    accepted = len(bits)
     rate = accepted / TRIALS
     print(f"Accepted {accepted} trials (rate {rate:.3f}; signal is green half the time)")
-    print(f"Signal bits in accepted records: {set(bits[0].tolist())}")
+    print(f"Signal bits in accepted records: {set(bits[:, 0].tolist())}")
 
-    same_quarter = np.mean(bits[1] == 0)
-    same_opposite = np.mean(bits[2] == 0)
+    same_quarter = np.mean(bits[:, 1] == 0)
+    same_opposite = np.mean(bits[:, 2] == 0)
     print(f"P(target@pi/4 green | accepted) = {same_quarter:.3f}   (exact 0.75)")
     print(f"P(target@pi  green | accepted) = {same_opposite:.3f}   (exact 0: anticorrelated)")
 
@@ -62,13 +62,13 @@ def main():
 
     print("\nCNOT on the accepted records, control=2 (pi target), target=1:")
     flipped = apply_cnot_to_bits(bits, 2, 1)
-    before = Counter(map(tuple, bits.T.tolist()))
-    after = Counter(map(tuple, flipped.T.tolist()))
-    for column, count in sorted(before.items()):
-        print(f"  {column} x{count}", end="")
+    before = Counter(map(tuple, bits.tolist()))
+    after = Counter(map(tuple, flipped.tolist()))
+    for record, count in sorted(before.items()):
+        print(f"  {record} x{count}", end="")
     print()
-    for column, count in sorted(after.items()):
-        print(f"  {column} x{count}", end="")
+    for record, count in sorted(after.items()):
+        print(f"  {record} x{count}", end="")
     print()
     restored = apply_cnot_to_bits(flipped, 2, 1)
     print(f"Applying CNOT twice restores the records: {np.array_equal(restored, bits)}")

@@ -44,7 +44,6 @@ from .phase import (
     wrap_angle,
 )
 from .register import (
-    AcceptedTrials,
     Balanced,
     Definite,
     QubitState,
@@ -75,7 +74,6 @@ from .stats import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcceptedTrials",
     "Balanced",
     "COMMANDS",
     "ChshResult",

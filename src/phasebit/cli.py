@@ -124,7 +124,7 @@ def _run_init(config: ExperimentConfig):
     its stream's cursor, so the windows walk the trials of one whole-run
     call in the same order.  Only each window's accepted count and ones per
     qubit are kept, as Python ints, so the command holds one window of
-    accepted columns and its memory is O(``BLOCK_TRIALS``) at any
+    accepted records and its memory is O(``BLOCK_TRIALS``) at any
     ``--trials``.
     """
     stream = make_phase_stream(config.model)
@@ -144,7 +144,7 @@ def _run_init(config: ExperimentConfig):
             n_accepted += len(accepted)
             ones_per_qubit = [
                 total + ones
-                for total, ones in zip(ones_per_qubit, accepted.bits.sum(axis=1).tolist())
+                for total, ones in zip(ones_per_qubit, accepted.sum(axis=0).tolist())
             ]
     rows = []
     for index, (q, ones) in enumerate(zip(register.qubits, ones_per_qubit)):

@@ -228,12 +228,22 @@ def _rate_turns(model: PhaseModel) -> int:
 
 
 def phases_at(model: PhaseModel, trials: np.ndarray) -> np.ndarray:
-    """Phase values for the given trial indices, each in ``[0, 2*pi)``."""
+    """Phase values for the given trial indices, each in ``[0, 2*pi)``.
+
+    The indices must be integers or bools in ``0..2**63 - 1``: a float
+    raises ``TypeError`` rather than be truncated to another trial.
+    """
     import numpy as np
 
-    t = np.asarray(trials, dtype=np.int64)
-    if t.size and int(t.min()) < 0:
-        raise ValueError("trial indices must be nonnegative")
+    t = np.asarray(trials)
+    if t.size:
+        if t.dtype.kind not in "biu":
+            raise TypeError(f"trial indices must be integers, got dtype {t.dtype}")
+        if int(t.min()) < 0:
+            raise ValueError("trial indices must be nonnegative")
+        if t.dtype.kind == "u" and int(t.max()) >= 2**63:
+            raise ValueError("trial indices must stay below 2**63")
+    t = t.astype(np.int64, copy=False)
     if model.kind == IID_UNIFORM:
         turns = _hash64(model.seed, t)
     else:

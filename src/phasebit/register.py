@@ -9,18 +9,19 @@ it, which post-selects the register into an initialized state.
 
 :func:`initialize` first counts the accepted trials exactly from the
 signal qubit's :func:`~phasebit.signals.run_counts`, without drawing a
-phase, and allocates its output once at that size: one int8 column of
+phase, and allocates its output once at that size: one int8 record of
 ``qubits`` bytes per accepted trial, with no trial index.  It then reads
 each block of phases once per Balanced qubit with
 :func:`~phasebit.signals.dichotomic_array`, which evaluates no cosine for a
-phase at a wrapped angle, and writes the block's accepted columns straight
-into their slice, one row at a time.  Peak memory is therefore the output
+phase at a wrapped angle, and writes the block's accepted bits straight
+into their slice, one qubit at a time.  Peak memory is therefore the output
 plus O(``BLOCK_TRIALS``), whatever the trial count.  numpy is imported
 when :func:`initialize` runs, not with this module.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
@@ -52,6 +53,8 @@ class Balanced:
     alpha: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.alpha, numbers.Real):
+            raise TypeError(f"alpha must be a real number, got {self.alpha!r}")
         object.__setattr__(self, "alpha", wrap_angle(self.alpha))
 
 
@@ -76,25 +79,9 @@ class VirtualRegister:
         for q in self.qubits:
             if not isinstance(q, (Definite, Balanced)):
                 raise TypeError(f"not a qubit state: {q!r}")
+        if not isinstance(self.stream, PhaseStream):
+            raise TypeError(f"not a phase stream: {self.stream!r}")
         self.signal_index = checked_int("signal_index", self.signal_index, 0, len(self.qubits) - 1)
-
-
-# an array has no single truth value, so equality is identity: compare .bits
-@dataclass(frozen=True, eq=False)
-class AcceptedTrials:
-    """The bit columns of the accepted trials.
-
-    ``bits`` holds one row per qubit and one column per accepted trial
-    (int8), so a trial costs ``qubits`` bytes and the array is the only
-    allocation that grows with the trial count.  ``len()`` counts the
-    columns, that is the accepted trials, where a bare array's ``len()``
-    would count the qubits.
-    """
-
-    bits: np.ndarray
-
-    def __len__(self) -> int:
-        return self.bits.shape[1]
 
 
 def _accepted_count(register: VirtualRegister, trials: int) -> int:
@@ -142,17 +129,18 @@ def _fill_block(register: VirtualRegister, count: int, bits: np.ndarray, filled:
     return end
 
 
-def initialize(register: VirtualRegister, trials: int) -> AcceptedTrials:
-    """Measure ``trials`` times and keep only the accepted trials.
+def initialize(register: VirtualRegister, trials: int) -> np.ndarray:
+    """Measure ``trials`` times and return the accepted trials' bits.
 
     A trial is accepted when the signal qubit reads bit 0 (green); rejected
-    trials produce no output at all.  Every returned column therefore has
-    signal bit 0.  The accepted count comes first, from
-    :func:`~phasebit.signals.run_counts`, and sizes the output; the stream
-    is then walked in blocks of ``BLOCK_TRIALS``, each block's accepted
-    columns written into their slice one row at a time.  Peak memory is the
-    output plus O(``BLOCK_TRIALS``).  Bits that disagree with the count
-    raise ``RuntimeError``.
+    trials produce no output at all.  The result is an int8 array with one
+    row per accepted trial and one contiguous column per qubit, so ``len()``
+    counts the accepted trials and the signal column is all 0.  The
+    accepted count comes first, from :func:`~phasebit.signals.run_counts`,
+    and sizes the output; the stream is then walked in blocks of
+    ``BLOCK_TRIALS``, each block's accepted bits written into their slice
+    one qubit at a time.  Peak memory is the output plus O(``BLOCK_TRIALS``).
+    Bits that disagree with the count raise ``RuntimeError``.
     """
     import numpy as np  # loaded first, so an iid count hashes in numpy blocks
 
@@ -164,7 +152,7 @@ def initialize(register: VirtualRegister, trials: int) -> AcceptedTrials:
         filled = _fill_block(register, min(BLOCK_TRIALS, trials - done), bits, filled)
     if filled != n_accepted:
         raise RuntimeError(f"blocks accept {filled} of the {n_accepted} trials counted")
-    return AcceptedTrials(bits)
+    return bits.T
 
 
 def hadamard(q: QubitState) -> QubitState:
@@ -193,16 +181,17 @@ def cnot(control_bit: int, target_bit: int) -> int:
 
 
 def apply_cnot_to_bits(bits: np.ndarray, control: int, target: int) -> np.ndarray:
-    """Apply the controlled-NOT to every column of ``bits`` (one row per qubit).
+    """Apply the controlled-NOT to every record of ``bits``, one row per trial.
 
-    Returns a copy in which the target row is XORed with the control row;
-    ``bits`` and the control row are left unchanged.
+    ``bits`` has one column per qubit, as :func:`initialize` returns it.
+    Returns a copy in the same memory layout in which the target column is
+    XORed with the control column; ``bits`` is left unchanged.
     """
-    last = len(bits) - 1
+    last = bits.shape[1] - 1
     control = checked_int("control", control, 0, last)
     target = checked_int("target", target, 0, last)
     if control == target:
         raise ValueError("control and target must differ")
-    out = bits.copy()
-    out[target] ^= bits[control]
+    out = bits.copy(order="K")
+    out[:, target] ^= bits[:, control]
     return out

@@ -95,12 +95,12 @@ def test_criterion_5_post_selection():
     trials = 100_000
     stream = make_phase_stream(PhaseModel(seed=42))
     register = VirtualRegister([Balanced(0.0), Balanced(math.pi / 4)], stream)
-    bits = initialize(register, trials).bits
-    n = bits.shape[1]
+    bits = initialize(register, trials)
+    n = len(bits)
     rate = n / trials
     assert abs(rate - 0.5) <= 4 * 0.5 / math.sqrt(trials)
-    assert np.all(bits[0] == 0)
-    p_same = float(np.mean(bits[1] == 0))
+    assert np.all(bits[:, 0] == 0)
+    p_same = float(np.mean(bits[:, 1] == 0))
     stderr = math.sqrt(p_same * (1.0 - p_same) / n)
     assert abs(p_same - conditional_same_color_probability(math.pi / 4)) <= 4 * stderr
     print(

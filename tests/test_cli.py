@@ -119,7 +119,7 @@ def _whole_run_init_rows(config):
     accepted = initialize(register, config.trials)
     n = len(accepted)
     rows = []
-    for index, (q, ones) in enumerate(zip(register.qubits, accepted.bits.sum(axis=1).tolist())):
+    for index, (q, ones) in enumerate(zip(register.qubits, accepted.sum(axis=0).tolist())):
         p_bit0 = (n - ones) / n if n else math.nan
         stderr = math.sqrt(p_bit0 * (1.0 - p_bit0) / n) if n else math.nan
         rows.append((index, q.alpha, config.trials, n, p_bit0, stderr))

@@ -522,6 +522,22 @@ def test_phases_at_rejects_negative_trials():
         phases_at(PhaseModel(seed=0), np.array([-1]))
 
 
+def test_phases_at_refuses_unsigned_indices_past_int64():
+    model = PhaseModel(seed=0)
+    last = np.array([2**63 - 1], dtype=np.uint64)
+    assert phases_at(model, last).tolist() == phases_at(model, [2**63 - 1]).tolist()
+    with pytest.raises(ValueError, match="below 2\\*\\*63"):
+        phases_at(model, last + np.uint64(1))
+
+
+def test_phases_at_takes_integer_and_bool_indices_and_an_empty_input():
+    model = PhaseModel(seed=0)
+    expected = phases_at(model, np.array([0, 1], dtype=np.int64)).tolist()
+    for trials in ([0, 1], np.array([0, 1], dtype=np.uint8), np.array([False, True])):
+        assert phases_at(model, trials).tolist() == expected
+    assert phases_at(model, []).shape == (0,)
+
+
 # ---------------------------------------------------------------- substreams
 
 def test_single_chunk_is_the_serial_stream():
@@ -616,6 +632,7 @@ COUNT_ENTRY_POINTS = {
     "chunk_quota_total": lambda value: chunk_quota(value, 0, 4),
     "chunk_quota_chunk_index": lambda value: chunk_quota(10, value, 4),
     "chunk_quota_num_chunks": lambda value: chunk_quota(10, 0, value),
+    "phases_at": lambda value: phases_at(_IID, [value]),
 }
 
 

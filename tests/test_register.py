@@ -1,12 +1,11 @@
-import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import phasebit
 from phasebit import (
-    AcceptedTrials,
     Balanced,
     Definite,
     PhaseModel,
@@ -26,13 +25,13 @@ from phasebit.signals import dichotomic_array
 
 
 def _trial_bits(qubits, phi):
-    """Reference bits, one row per qubit and one column per trial: green (+1) is bit 0."""
+    """Reference bits, one row per trial and one column per qubit: green (+1) is bit 0."""
     return np.stack([
         np.full(phi.shape, q.bit, dtype=np.int8)
         if isinstance(q, Definite)
         else (dichotomic_array(phi, q.alpha) < 0).view(np.int8)
         for q in qubits
-    ])
+    ], axis=1)
 
 
 def fresh_register(qubits, seed=42, signal_index=0):
@@ -73,6 +72,12 @@ def test_register_validation():
         VirtualRegister([Definite(0)], stream, signal_index=1)
     with pytest.raises(TypeError):
         VirtualRegister([Definite(0), "nope"], stream)
+    for not_a_stream in (None, PhaseModel(seed=0)):
+        with pytest.raises(TypeError, match="not a phase stream"):
+            VirtualRegister([Balanced(0.0)], not_a_stream)
+    for alpha in ("1", None, 1j):
+        with pytest.raises(TypeError, match="^alpha must be a real number"):
+            Balanced(alpha)
 
 
 def test_register_takes_an_integer_signal_index():
@@ -85,9 +90,9 @@ def test_register_takes_an_integer_signal_index():
         reg = VirtualRegister(qubits, make_phase_stream(PhaseModel(seed=0)), signal_index=index)
         assert type(reg.signal_index) is int and reg.signal_index == 1
         accepted = initialize(reg, 100)
-        assert np.all(accepted.bits[1] == 0)
+        assert np.all(accepted[:, 1] == 0)
         reference = initialize(fresh_register(qubits, seed=0, signal_index=1), 100)
-        assert np.array_equal(accepted.bits, reference.bits)
+        assert np.array_equal(accepted, reference)
 
 
 # ------------------------------------------------------- single-trial rules
@@ -95,7 +100,7 @@ def test_register_takes_an_integer_signal_index():
 def test_one_trial_all_definite_zero_is_accepted():
     accepted = initialize(fresh_register([Definite(0), Definite(0), Definite(0)]), 1)
     assert len(accepted) == 1
-    assert accepted.bits.tolist() == [[0], [0], [0]]
+    assert accepted.tolist() == [[0, 0, 0]]
 
 
 def test_one_trial_definite_one_signal_rejects():
@@ -109,17 +114,17 @@ def test_accepted_signal_zero_forces_opposite_target_at_pi():
     # signal and target read anticorrelated signals, so acceptance pins
     # the target to bit 1
     reg = fresh_register([Balanced(0.0), Balanced(math.pi)], seed=8)
-    bits = initialize(reg, 1000).bits
-    assert 0 < bits.shape[1] < 1000
-    assert np.all(bits[0] == 0)
-    assert np.all(bits[1] == 1)
+    bits = initialize(reg, 1000)
+    assert 0 < len(bits) < 1000
+    assert np.all(bits[:, 0] == 0)
+    assert np.all(bits[:, 1] == 1)
 
 
 def test_target_agreement_fraction_at_quarter_angle():
     reg = fresh_register([Balanced(0.0), Balanced(math.pi / 4)], seed=42)
     accepted = initialize(reg, 100_000)
     n = len(accepted)
-    p_same = float(np.mean(accepted.bits[1] == 0))
+    p_same = float(np.mean(accepted[:, 1] == 0))
     expected = conditional_same_color_probability(math.pi / 4)  # 0.75
     stderr = math.sqrt(p_same * (1 - p_same) / n)
     assert abs(p_same - expected) <= 4 * stderr
@@ -132,7 +137,7 @@ def test_initialize_forced_acceptance():
     accepted = initialize(fresh_register(qubits), 500)
     assert len(accepted) == 500
     _, phi = make_phase_stream(PhaseModel(seed=42)).take(500)
-    assert np.array_equal(accepted.bits, _trial_bits(qubits, phi))
+    assert np.array_equal(accepted, _trial_bits(qubits, phi))
 
 
 def test_initialize_forced_rejection_outputs_nothing():
@@ -148,7 +153,7 @@ def test_initialize_acceptance_rate_half():
     accepted = initialize(reg, trials)
     rate = len(accepted) / trials
     assert abs(rate - 0.5) <= 4 * 0.5 / math.sqrt(trials)
-    assert np.all(accepted.bits[0] == 0)
+    assert np.all(accepted[:, 0] == 0)
 
 
 def test_initialize_rejects_zero_trials():
@@ -165,7 +170,7 @@ def test_initialize_takes_an_integer_trial_count():
             initialize(reg, trials)
     assert reg.stream.position == 0
     accepted = initialize(reg, np.int64(100))
-    assert np.array_equal(accepted.bits, initialize(fresh_register(qubits), 100).bits)
+    assert np.array_equal(accepted, initialize(fresh_register(qubits), 100))
     assert type(len(accepted)) is int and type(reg.stream.position) is int
 
 
@@ -174,8 +179,8 @@ def test_shared_phase_correlation_between_qubits():
     alpha_k, alpha_l = 0.9, 0.9 + 2.2
     reg = fresh_register([Definite(0), Balanced(alpha_k), Balanced(alpha_l)], seed=42)
     accepted = initialize(reg, 100_000)
-    signs = 1 - 2 * accepted.bits[1:].astype(np.int64)
-    mean = float((signs[0] * signs[1]).mean())
+    signs = 1 - 2 * accepted[:, 1:].astype(np.int64)
+    mean = float((signs[:, 0] * signs[:, 1]).mean())
     stderr = math.sqrt((1 - mean**2) / len(accepted))
     assert abs(mean - analytic_correlation(alpha_k - alpha_l)) <= 4 * stderr
 
@@ -195,9 +200,9 @@ def test_blocked_initialize_equals_one_unblocked_take(kind, signal_index):
     reference.skip(13)
     _, phi = reference.take(trials)
     bits = _trial_bits(qubits, phi)
-    keep = bits[signal_index] == 0
+    keep = bits[:, signal_index] == 0
     assert 0 < len(accepted) == keep.sum() < trials
-    assert np.array_equal(accepted.bits, bits[:, keep])
+    assert np.array_equal(accepted, bits[keep])
 
 
 @pytest.mark.parametrize("kind", ["iid", "oscillator"])
@@ -206,8 +211,8 @@ def test_initialize_evaluates_no_cosine_per_trial(kind, monkeypatch):
     model = PhaseModel(kind=kind, seed=5)
     trials = 70001
     _, phi = make_phase_stream(model).take(trials)
-    bits = np.stack([(np.cos(phi + q.alpha) < 0.0).view(np.int8) for q in qubits])
-    keep = bits[0] == 0
+    bits = np.stack([(np.cos(phi + q.alpha) < 0.0).view(np.int8) for q in qubits], axis=1)
+    keep = bits[:, 0] == 0
 
     cosine = np.cos
     evaluated = []
@@ -219,7 +224,7 @@ def test_initialize_evaluates_no_cosine_per_trial(kind, monkeypatch):
     monkeypatch.setattr(np, "cos", counting)
     accepted = initialize(VirtualRegister(qubits, make_phase_stream(model)), trials)
     assert sum(evaluated) == 0
-    assert np.array_equal(accepted.bits, bits[:, keep])
+    assert np.array_equal(accepted, bits[keep])
 
 
 def test_initialize_memory_does_not_grow_with_records():
@@ -231,9 +236,9 @@ def test_initialize_memory_does_not_grow_with_records():
     finally:
         tracemalloc.stop()
     assert 400_000 < len(accepted) < 600_000
-    assert accepted.bits.nbytes == 8 * len(accepted)
-    # the output once, plus block buffers: no second copy of the accepted columns
-    assert peak < accepted.bits.nbytes + 48 * BLOCK_TRIALS
+    assert accepted.nbytes == 8 * len(accepted)
+    # the output once, plus block buffers: no second copy of the accepted records
+    assert peak < accepted.nbytes + 48 * BLOCK_TRIALS
 
 
 SIGNAL_CASES = [
@@ -261,7 +266,7 @@ def test_accepted_count_equals_the_per_trial_count(model, qubits, signal_index, 
     reference = make_phase_stream(model)
     reference.skip(13)
     _, phi = reference.take(trials)
-    assert count == int(np.count_nonzero(_trial_bits(qubits, phi)[signal_index] == 0))
+    assert count == int(np.count_nonzero(_trial_bits(qubits, phi)[:, signal_index] == 0))
     assert len(initialize(reg, trials)) == count
 
 
@@ -278,18 +283,23 @@ def test_initialize_raises_when_the_bits_disagree_with_the_count(monkeypatch, er
 @pytest.mark.parametrize("signal_index", [0, 1])
 def test_accepted_trials_contract(signal_index):
     qubits = [Balanced(0.0), Balanced(1.1), Definite(1)]
-    accepted = initialize(fresh_register(qubits, seed=6, signal_index=signal_index), 50)
-    assert isinstance(accepted, AcceptedTrials)
-    assert [f.name for f in dataclasses.fields(accepted)] == ["bits"]
-    assert 2 < len(accepted) == accepted.bits.shape[1] < 50
-    assert accepted.bits.dtype == np.int8 and accepted.bits.shape[0] == 3
-    assert np.all(accepted.bits[signal_index] == 0)
+    reg = fresh_register(qubits, seed=6, signal_index=signal_index)
+    count = _accepted_count(reg, 50)
+    accepted = initialize(reg, 50)
+    assert type(accepted) is np.ndarray and accepted.dtype == np.int8
+    assert 2 < count < 50
+    assert accepted.shape == (count, 3) and len(accepted) == count
+    assert np.all(accepted[:, signal_index] == 0)
+    assert np.all(accepted[:, 2] == 1)
+    # each qubit's column is contiguous
+    assert accepted.flags.f_contiguous
+    assert not hasattr(phasebit, "AcceptedTrials")
 
 
 def test_no_accepted_trial_gives_empty_columns():
     accepted = initialize(fresh_register([Definite(1), Balanced(0.5)]), 100)
     assert len(accepted) == 0
-    assert accepted.bits.shape == (2, 0) and accepted.bits.dtype == np.int8
+    assert accepted.shape == (0, 2) and accepted.dtype == np.int8
 
 
 # ----------------------------------------------------------------- hadamard
@@ -342,36 +352,45 @@ def test_cnot_rejects_non_bits():
 
 
 def test_apply_cnot_to_bits_flips_target_where_control_set():
-    bits = np.array([[1, 0, 1, 0], [0, 0, 1, 1]], dtype=np.int8)
+    bits = np.array([[1, 0], [0, 0], [1, 1], [0, 1]], dtype=np.int8)
     out = apply_cnot_to_bits(bits, 0, 1)
-    assert out.tolist() == [[1, 0, 1, 0], [1, 0, 0, 1]]
+    assert out.tolist() == [[1, 1], [0, 0], [1, 0], [0, 1]]
     assert out.dtype == np.int8
-    # the input array, control row included, is untouched
-    assert bits.tolist() == [[1, 0, 1, 0], [0, 0, 1, 1]]
+    # the input array, control column included, is untouched
+    assert bits.tolist() == [[1, 0], [0, 0], [1, 1], [0, 1]]
+
+
+def test_apply_cnot_to_bits_takes_the_records_of_initialize():
+    reg = fresh_register([Balanced(0.0), Balanced(1.4), Balanced(2.9)], seed=4)
+    bits = initialize(reg, 2000)
+    out = apply_cnot_to_bits(bits, 2, 1)
+    assert out.tolist() == [[s, cnot(c, t), c] for s, t, c in bits.tolist()]
+    # a copy with the same layout: each qubit's column stays contiguous
+    assert out.flags.f_contiguous and not np.shares_memory(out, bits)
 
 
 def test_apply_cnot_is_an_involution():
     reg = fresh_register([Balanced(0.2), Balanced(1.4), Balanced(2.9)], seed=4)
-    bits = initialize(reg, 2000).bits
+    bits = initialize(reg, 2000)
     before = bits.copy()
     once = apply_cnot_to_bits(bits, 1, 2)
     twice = apply_cnot_to_bits(once, 1, 2)
     assert np.array_equal(twice, bits)
     assert np.array_equal(bits, before)
     assert not np.array_equal(once, bits)
-    # control row bitwise identical before and after
-    assert np.array_equal(once[1], bits[1])
+    # control column bitwise identical before and after
+    assert np.array_equal(once[:, 1], bits[:, 1])
 
 
 def test_apply_cnot_validation():
-    bits = np.array([[0], [1]], dtype=np.int8)
+    bits = np.array([[0, 1]], dtype=np.int8)
     for control, target in [(1, 1), (0, 2), (2, 0), (-1, 0), (0, -1)]:
         with pytest.raises(ValueError):
             apply_cnot_to_bits(bits, control, target)
 
 
 def test_apply_cnot_takes_integer_indices_only():
-    bits = np.array([[1, 0, 1, 0], [0, 0, 1, 1]], dtype=np.int8)
+    bits = np.array([[1, 0], [0, 0], [1, 1], [0, 1]], dtype=np.int8)
     expected = apply_cnot_to_bits(bits, 0, 1).tolist()
     for control, target in [(np.int64(0), np.uint8(1)), (False, True)]:
         assert apply_cnot_to_bits(bits, control, target).tolist() == expected
@@ -381,8 +400,8 @@ def test_apply_cnot_takes_integer_indices_only():
 
 
 def test_apply_cnot_validates_indices_with_no_accepted_trial():
-    bits = initialize(fresh_register([Definite(1), Balanced(0.5)]), 100).bits
-    assert bits.shape == (2, 0)
+    bits = initialize(fresh_register([Definite(1), Balanced(0.5)]), 100)
+    assert bits.shape == (0, 2)
     with pytest.raises(ValueError):
         apply_cnot_to_bits(bits, 0, 5)
-    assert apply_cnot_to_bits(bits, 0, 1).shape == (2, 0)
+    assert apply_cnot_to_bits(bits, 0, 1).shape == (0, 2)
