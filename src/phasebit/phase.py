@@ -227,16 +227,40 @@ def _rate_turns(model: PhaseModel) -> int:
     return int(math.ldexp(math.fsum(_rates(model)) / TWO_PI % 1.0, 64))
 
 
+def _listed_ints(trials, t: np.ndarray) -> np.ndarray:
+    """The int64 indices of a list of ints that numpy widened, else ``t``.
+
+    A list of ints that no one numpy integer type holds, such as
+    ``[-1, 2**63]`` or ``[2**64]``, reads as float64 or object; its range
+    is checked here so that it raises ``ValueError``, not ``TypeError``.
+    """
+    import numpy as np
+
+    values = np.asarray(trials, dtype=object)
+    try:
+        ints = [operator.index(v) for v in values.flat]
+    except TypeError:
+        return t
+    if min(ints) < 0:
+        raise ValueError("trial indices must be nonnegative")
+    if max(ints) >= 2**63:
+        raise ValueError("trial indices must stay below 2**63")
+    return np.array(ints, dtype=np.int64).reshape(values.shape)
+
+
 def phases_at(model: PhaseModel, trials: np.ndarray) -> np.ndarray:
     """Phase values for the given trial indices, each in ``[0, 2*pi)``.
 
     The indices must be integers or bools in ``0..2**63 - 1``: a float
-    raises ``TypeError`` rather than be truncated to another trial.
+    raises ``TypeError`` rather than be truncated to another trial, and an
+    integer out of that range ``ValueError``.
     """
     import numpy as np
 
     t = np.asarray(trials)
     if t.size:
+        if t.dtype.kind in "fO" and not isinstance(trials, np.ndarray):
+            t = _listed_ints(trials, t)
         if t.dtype.kind not in "biu":
             raise TypeError(f"trial indices must be integers, got dtype {t.dtype}")
         if int(t.min()) < 0:

@@ -135,7 +135,11 @@ INIT_MODELS = {
 
 @pytest.mark.parametrize("signal_index", [0, 2], ids=["first-signal", "last-signal"])
 @pytest.mark.parametrize(
-    "trials", [1, 2, BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1, 70001, 2 * BLOCK_TRIALS + 5]
+    "trials",
+    [
+        1, 2, BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1, 70001, 2 * BLOCK_TRIALS + 5,
+        cli._INIT_WINDOW - 1, cli._INIT_WINDOW, cli._INIT_WINDOW + 1, 2 * cli._INIT_WINDOW + 5,
+    ],
 )
 @pytest.mark.parametrize("model", INIT_MODELS.values(), ids=INIT_MODELS.keys())
 def test_init_windows_give_the_rows_of_one_whole_run(model, trials, signal_index, capsys):
@@ -162,6 +166,20 @@ def test_init_memory_does_not_grow_with_trials():
         tracemalloc.stop()
     # one window of accepted columns and block buffers; the whole run's columns are 4 MB
     assert peak < 40 * BLOCK_TRIALS
+
+
+def test_init_holds_one_small_window():
+    angles = tuple(0.4 * k for k in range(8))
+    assert run(ExperimentConfig(command="init", model=PhaseModel(), trials=1, angles=angles)) == 0
+    config = ExperimentConfig(command="init", model=PhaseModel(), trials=10**6, angles=angles)
+    tracemalloc.start()
+    try:
+        assert run(config) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # an _INIT_WINDOW window's arrays are ~0.27 MB; BLOCK_TRIALS windows took ~2.1 MB
+    assert peak < 8 * BLOCK_TRIALS
 
 
 def test_gates_truth_table(capsys):

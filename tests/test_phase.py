@@ -530,6 +530,17 @@ def test_phases_at_refuses_unsigned_indices_past_int64():
         phases_at(model, last + np.uint64(1))
 
 
+def test_phases_at_names_the_range_of_a_list_of_ints_past_int64():
+    # numpy reads these lists as object and float64, not as an integer dtype
+    model = PhaseModel(seed=0)
+    with pytest.raises(ValueError, match="below 2\\*\\*63"):
+        phases_at(model, [2**64])
+    with pytest.raises(ValueError, match="nonnegative"):
+        phases_at(model, [-1, 2**63])
+    with pytest.raises(TypeError):
+        phases_at(model, [1.5])
+
+
 def test_phases_at_takes_integer_and_bool_indices_and_an_empty_input():
     model = PhaseModel(seed=0)
     expected = phases_at(model, np.array([0, 1], dtype=np.int64)).tolist()
