@@ -264,7 +264,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     raw: dict[str, str] = {}
     if args.config:
         try:
-            text = Path(args.config).read_text(encoding="utf-8")
+            text = Path(args.config).read_text(encoding="utf-8-sig")  # a leading BOM is no key
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
         raw = read_key_values(text)

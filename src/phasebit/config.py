@@ -38,6 +38,8 @@ _DEFAULT_ANGLES = {
     "gates": (0.0, math.pi / 4),
 }
 
+_DEFAULT_MODEL = PhaseModel()
+
 _ANGLE_RE = re.compile(
     r"^\s*([+-]?)\s*(\d+\.?\d*|\.\d+)?\s*pi\s*(?:/\s*(\d+\.?\d*|\.\d+))?\s*$",
     re.IGNORECASE,
@@ -192,6 +194,12 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"unknown format {config.format!r}; expected one of {FORMATS}")
     if not isinstance(config.model, PhaseModel):
         raise ConfigError(f"model must be a PhaseModel, got {config.model!r}")
+    if config.model.kind == IID_UNIFORM:  # the keys only the oscillator reads do no work here
+        for name in ("ensemble_size", "frequency_spread", "burn_in"):
+            value, default = getattr(config.model, name), getattr(_DEFAULT_MODEL, name)
+            if value != default:
+                raise ConfigError(f"{name} applies to the oscillator model only; "
+                                  f"the iid model takes {default!r}, got {value!r}")
     if not isinstance(config.out, str):
         raise ConfigError(f"out path must be a string, got {config.out!r}")
     if not config.out:

@@ -34,7 +34,7 @@ numpy is imported only by the functions that build arrays,
 :func:`phases_at` and :meth:`PhaseStream.take`, and by an ``iid`` count
 over more than ``4 * BLOCK_TRIALS`` trials, or any ``iid`` count once
 numpy is loaded: hashing that many trials in Python-int lanes costs less
-than importing numpy.  The oscillator's rate sum is hashed in Python ints,
+than importing numpy.  The oscillator's rates are hashed in the same lanes,
 so an oscillator count runs without numpy.
 """
 
@@ -77,9 +77,9 @@ BLOCK_TRIALS = 1 << 16
 # Trials per Python-int pass: 2**11 lanes of 128 bits make one 32 KB int.
 _LANES = 1 << 11
 # The most iid trials one steps_below call hashes in Python-int lanes while
-# numpy is not loaded.  On 2 shared vCPUs with Python 3.11 the lanes took
-# 190-320 ns a trial, so 2**18 trials cost 50-85 ms, below numpy's measured
-# 95-140 ms import; once loaded, numpy's blocks take under 10 ns a trial.
+# numpy is not loaded: at 125-190 ns a trial, 2**18 trials cost 33-50 ms, below
+# the ~60 ms numpy import under OPENBLAS_NUM_THREADS=1, which the CLI sets (2
+# shared vCPUs, Python 3.11); once loaded, numpy takes under 10 ns a trial.
 _INT_TRIALS = 4 * BLOCK_TRIALS
 # 2*pi / 2**53 is exact, so k * _STEP_RADIANS rounds as (k / 2**53) * 2*pi does
 _STEP_RADIANS = _INV_2POW53 * TWO_PI
@@ -150,14 +150,6 @@ def _hash64(seed: int, counters: np.ndarray) -> np.ndarray:
     return _mix(z, np.empty_like(z))
 
 
-def _hash64_int(seed: int, counter: int) -> int:
-    """:func:`_hash64` of one counter in Python ints."""
-    z = ((counter + 1) * _GAMMA + seed) % _TURN
-    z = (z ^ z >> 30) * _MIX1 % _TURN
-    z = (z ^ z >> 27) * _MIX2 % _TURN
-    return z ^ z >> 31
-
-
 def _steps(turns: np.ndarray) -> np.ndarray:
     """The top 53 bits of uint64 turns as doubles; shifts ``turns`` in place."""
     import numpy as np
@@ -209,15 +201,18 @@ class PhaseModel:
 def _rates(model: PhaseModel) -> Iterator[float]:
     """Per-oscillator angular rates, i.i.d. uniform on ``(0, frequency_spread]``.
 
-    Drawn once from the seed, hashed in Python ints; the rates, not the
+    Drawn once from the seed, hashed in :func:`_lane_turns`; the rates, not the
     phases, carry the oscillator's randomness.  Rate ``k`` is
     ``spread * ((s + 1) * 2**-53)`` for the 53-bit step ``s`` of the hash of
     ``k``; the order ``spread * (s + 1) * 2**-53`` would overflow at a
     spread near the float maximum.
     """
-    key = model.seed ^ _FREQ_TAG
-    for k in range(model.ensemble_size):
-        yield model.frequency_spread * (((_hash64_int(key, k) >> _STEP_SHIFT) + 1) * _INV_2POW53)
+    for done in range(0, model.ensemble_size, _LANES):
+        size = min(_LANES, model.ensemble_size - done)
+        lanes = _lane_turns(model.seed ^ _FREQ_TAG, done, 1, size).to_bytes(16 * size, "little")
+        for j in range(0, 16 * size, 16):  # lane j's low 64 bits, little-endian
+            step = int.from_bytes(lanes[j : j + 8], "little") >> _STEP_SHIFT
+            yield model.frequency_spread * ((step + 1) * _INV_2POW53)
 
 
 @functools.lru_cache(maxsize=16)
@@ -394,50 +389,55 @@ def steps_below(windows: Sequence[tuple[PhaseStream, int, Sequence[int]]]) -> li
 
 
 @functools.lru_cache(maxsize=8)
-def _lanes(size: int) -> tuple[int, int, int]:
-    """``(ones, low, index)``: Python ints of ``size`` 128-bit lanes, lane ``j`` at bit ``128*j``.
+def _lanes(size: int, stride: int) -> tuple[int, int, int]:
+    """``(ones, low, ramp)``: Python ints of ``size`` 128-bit lanes, lane ``j`` at bit ``128*j``.
 
     Every lane of ``ones`` holds 1, of ``low`` ``2**64 - 1``, and lane ``j``
-    of ``index`` holds ``j``.  They are built from bytes: the ``array``
-    module would add its shared library to every command's memory.
+    of ``ramp`` ``j*stride*GAMMA mod 2**64``.  They are built from bytes: the
+    ``array`` module would add its shared library to every command's memory.
     """
     ones = int.from_bytes((1).to_bytes(16, "little") * size, "little")
     index = int.from_bytes(b"".join(j.to_bytes(16, "little") for j in range(size)), "little")
-    return ones, ones * (_TURN - 1), index
+    low = ones * (_TURN - 1)
+    return ones, low, index * (stride * _GAMMA % _TURN) & low
+
+
+def _lane_turns(seed: int, first: int, stride: int, size: int) -> int:
+    """splitmix64 turns of trials ``first + stride*j``, ``j < size``, one per 128-bit lane (SWAR).
+
+    Trial ``j``'s uint64 is the low half of lane ``j``: it hashes the ramp
+    of :func:`_lanes` plus ``(first + 1)*GAMMA + seed``.  The high half leaves
+    room for a product of two uint64, so splitmix64 runs on all lanes at once
+    as whole-int shifts, xors, multiplies and ``& low`` masks, no carry ever
+    crossing a lane.  At ``size = _LANES`` the int is 32 KB.
+    """
+    ones, low, ramp = _lanes(size, stride)
+    z = ramp + ((first + 1) * _GAMMA + seed) % _TURN * ones & low
+    z = (z ^ z >> 30 & low) * _MIX1 & low
+    z = (z ^ z >> 27 & low) * _MIX2 & low
+    return z ^ z >> 31 & low
 
 
 def _iid_turns_below_int(windows: list[tuple]) -> list[list[int]]:
-    """:func:`_iid_turns_below` in Python ints, one lane of 128 bits per trial (SWAR).
+    """:func:`_iid_turns_below` in the lanes of :func:`_lane_turns`, ``_LANES`` trials a pass.
 
-    A block of up to ``_LANES`` trials is one int with trial ``j``'s uint64
-    in the low half of lane ``j``.  The high half leaves room for a
-    product of two uint64, so splitmix64 runs on all lanes at once as
-    whole-int shifts, xors, multiplies and ``& low`` masks, no carry ever
-    crossing a lane.  Lane ``j`` of ``(2**64 + c - 1)*ones - z`` has bit 64
-    set exactly when its turns are below ``c``, and borrows from no other
-    lane, so a limit's count is one subtraction, one mask and
-    ``bit_count``.  That holds at ``c = 0`` and ``c = 2**64`` too, and the
-    limits may come in any order or repeat.  The largest int is 32 KB.
+    Lane ``j`` of ``(2**64 + c - 1)*ones - z`` has bit 64 set exactly when its
+    turns are below ``c`` and borrows from no other lane, so a limit's count
+    is one subtraction, one mask and ``bit_count``, also at ``c = 0`` and
+    ``c = 2**64``; the limits may come in any order or repeat.
     """
     counts = []
     for model, first, stride, n, limits in windows:
         cuts = sorted(set(limits))
         below = dict.fromkeys(cuts, 0)
-        step = stride * _GAMMA % _TURN
         size = 0
         for done in range(0, n, _LANES):
             if size != min(_LANES, n - done):  # the first block, or a shorter last one
                 size = min(_LANES, n - done)
-                ones, low, index = _lanes(size)
-                ramp = index * step & low
+                ones = _lanes(size, stride)[0]
                 signs = ones << 64
                 bars = [(c, (_TURN + c - 1) * ones) for c in cuts]
-            # trial first + stride*(done + j) hashes (first + stride*done + 1)*GAMMA + seed + j*step
-            offset = ((first + stride * done + 1) * _GAMMA + model.seed) % _TURN
-            z = ramp + offset * ones & low
-            z = (z ^ z >> 30 & low) * _MIX1 & low
-            z = (z ^ z >> 27 & low) * _MIX2 & low
-            z ^= z >> 31 & low
+            z = _lane_turns(model.seed, first + stride * done, stride, size)
             for c, bar in bars:
                 below[c] += (bar - z & signs).bit_count()
         counts.append([below[c] for c in limits])

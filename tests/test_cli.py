@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from phasebit.phase import BLOCK_TRIALS
 from phasebit.register import Balanced, VirtualRegister, initialize
 
 CANONICAL_ANGLES = "0,pi/2,pi/4,3pi/4"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(argv, capsys):
@@ -232,6 +234,14 @@ def test_the_config_file_gives_the_command_when_no_positional_does(tmp_path, cap
     assert (0, out) == run_cli(["curve", "--trials", "100"], capsys)[:2]
     # the positional wins over the key
     assert run_cli(["gates", "--config", str(cfg)], capsys)[:2] == run_cli(["gates"], capsys)[:2]
+
+
+def test_a_config_file_that_starts_with_a_utf8_bom_runs(tmp_path, capsys):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfcommand = gates\n")
+    code, out, err = run_cli(["--config", str(cfg)], capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "gates-iid.csv").read_text(encoding="utf-8")
 
 
 def test_a_config_file_without_a_command_key_and_no_positional_is_a_config_error(
@@ -473,17 +483,35 @@ FLAG_VALUES = {
 }
 
 
+# The keys that only the oscillator model reads; the iid model refuses them.
+OSCILLATOR_KEYS = ("ensemble_size", "frequency_spread", "burn_in")
+
+
 @pytest.mark.parametrize("name", [name for name, key in KEYS.items() if key.flag])
 def test_flag_and_config_file_build_equal_configs(name, tmp_path, monkeypatch):
     built = []
     monkeypatch.setattr(cli, "run", lambda config: built.append(config) or 0)
     key, value = KEYS[name], FLAG_VALUES[name]
+    model = {"kind": "oscillator"} if name in OSCILLATOR_KEYS else {}
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(f"{name} = {value}\n", encoding="utf-8")
-    assert main(["init", key.flag] + ([value] if key.metavar else [])) == 0
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**model, name: value}.items()),
+                   encoding="utf-8")
+    model_flags = ["--model", "oscillator"] if model else []
+    assert main(["init", *model_flags, key.flag] + ([value] if key.metavar else [])) == 0
     assert main(["init", "--config", str(cfg)]) == 0
     from_flag, from_file = built
-    assert from_flag == from_file != build_config({"command": "init"})
+    assert from_flag == from_file != build_config({"command": "init", **model})
+
+
+@pytest.mark.parametrize("name", OSCILLATOR_KEYS)
+def test_an_oscillator_key_off_its_default_under_iid_is_config_error(name, capsys):
+    argv = ["curve", "--trials", "100", "--angles", "0,1", "--seed", "1"]
+    code, out, err = run_cli([*argv, KEYS[name].flag, FLAG_VALUES[name]], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"phasebit: config error: {name} applies to the oscillator model only")
+    # the defaults are no error, so a serialized iid config still parses
+    defaults = [f"{KEYS[n].flag}={getattr(PhaseModel(), n)}" for n in OSCILLATOR_KEYS]
+    assert run_cli([*argv, *defaults], capsys)[:2] == run_cli(argv, capsys)[:2]
 
 
 # ---------------------------------------------------------------- emitters

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from phasebit import (
     wrap_angle,
 )
 from phasebit import phase as phase_module
-from phasebit.phase import BLOCK_TRIALS, PHASE_STEPS, floor_sum, step_phase, steps_below
+from phasebit.phase import _LANES, BLOCK_TRIALS, PHASE_STEPS, floor_sum, step_phase, steps_below
 from phasebit.signals import sign_edges, sign_product_sums
 from phasebit.stats import ks_uniformity
 
@@ -144,8 +145,16 @@ def test_model_stores_the_spread_as_a_python_float(spread, kind):
         assert [x.hex() for x in phases_at(model, np.arange(4)).tolist()] == expected
 
 
-@pytest.mark.parametrize("spread", [1e-3, 1.0, 1e12, 1e15, 1e300, 1e308])
-@pytest.mark.parametrize("size", [1, 32, 4096, 2**16 + 1])
+@pytest.mark.parametrize(
+    "size,spread",
+    [
+        *itertools.product(
+            [1, 32, _LANES - 1, _LANES, _LANES + 1, 4096, 2**16 + 1],
+            [1e-3, 1.0, 1e12, 1e15, 1e300, 1e308],
+        ),
+        (2**20, 1.0),
+    ],
+)
 def test_rates_from_python_ints_equal_the_numpy_rates(size, spread):
     model = PhaseModel(kind=OSCILLATOR_ENSEMBLE, seed=20261018, ensemble_size=size)
     # the model refuses the spreads whose phase cannot turn, so the spread is set
@@ -422,7 +431,7 @@ def test_python_int_count_equals_the_numpy_count_bit_for_bit(
     # near_end puts the window's last trial at 2**63 - 1
     first = 2**63 - 1 - stride * (n - 1) if near_end else start
     # a limit equal to a trial's turns must not count that trial
-    hit = phase_module._hash64_int(seed, first + stride * (n - 1))
+    hit = _splitmix64(seed, first + stride * (n - 1))
     limits = [*limits, hit, hit + 1]
     window = (PhaseModel(seed=seed), first, stride, n, limits)
     (by_ints,) = phase_module._iid_turns_below_int([window])
@@ -484,7 +493,7 @@ def test_hash64_pinned_values(seed, counter, expected):
     assert out.dtype == np.uint64
     assert out.tolist() == [expected, expected]
     assert _splitmix64(seed, counter) == expected
-    assert phase_module._hash64_int(seed, counter) == expected
+    assert phase_module._lane_turns(seed, counter, 1, 1) == expected
 
 
 @pytest.mark.parametrize(
