@@ -16,8 +16,7 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
-from typing import Sequence
+from collections.abc import Sequence
 
 from .config import (
     KEYS,
@@ -210,10 +209,16 @@ def _check_out(out_path: str) -> None:
     """Refuse an output path that cannot be written, before any trial is counted."""
     if out_path == STDOUT_SENTINEL:
         return
-    path = Path(out_path)
-    if path.is_dir():
+    try:  # a name the OS rejects: too long a component, or a NUL byte
+        os.stat(out_path)
+    except (FileNotFoundError, NotADirectoryError):
+        pass  # no file yet, or no directory to hold it: the checks below
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", exc)  # an OSError's message repeats the path
+        raise ConfigError(f"out path {out_path!r} cannot be used: {reason}") from None
+    if os.path.isdir(out_path):
         raise ConfigError(f"out path {out_path!r} is a directory")
-    if not path.parent.is_dir():
+    if not os.path.isdir(os.path.dirname(out_path) or os.curdir):
         raise ConfigError(f"out path {out_path!r} is not in an existing directory")
 
 
@@ -264,8 +269,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     raw: dict[str, str] = {}
     if args.config:
         try:
-            text = Path(args.config).read_text(encoding="utf-8-sig")  # a leading BOM is no key
-        except OSError as exc:
+            with open(args.config, encoding="utf-8-sig") as fh:  # a leading BOM is no key
+                text = fh.read()
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
             raise ConfigError(f"cannot read config file: {exc}") from None
         raw = read_key_values(text)
     raw.update(

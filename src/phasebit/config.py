@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 import numbers
 import re
-from collections.abc import Sequence
-from dataclasses import asdict, dataclass, fields
-from typing import Any, Callable, Mapping, NamedTuple
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 
-from .phase import IID_UNIFORM, OSCILLATOR_ENSEMBLE, PhaseModel, checked_int
+from .phase import IID_UNIFORM, OSCILLATOR_ENSEMBLE, PhaseModel, _Record, checked_int
 
 
 class ConfigError(ValueError):
@@ -46,17 +45,13 @@ _ANGLE_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    command: str
-    model: PhaseModel
-    trials: int
-    angles: tuple[float, ...]
-    out: str = STDOUT_SENTINEL
-    format: str = "csv"
-    workers: int = 1
-    signal_index: int = 0
-    shared_trials: bool = True
+class ExperimentConfig(_Record):
+    """One experiment: the command, its :class:`PhaseModel` and the other keys of ``KEYS``."""
+
+    __slots__ = ("command", "model", "trials", "angles", "out", "format", "workers", "signal_index",
+                 "shared_trials")
+    _defaults = {"out": STDOUT_SENTINEL, "format": "csv", "workers": 1, "signal_index": 0,
+                 "shared_trials": True}
 
 
 def parse_angle(text: str) -> float:
@@ -105,20 +100,13 @@ def _parse_bool(text: str) -> bool:
 _EXPECTED = {int: "an integer", float: "a number", _parse_bool: "true or false"}
 
 
-class Key(NamedTuple):
-    """How one config key is read from text and set on the command line.
+# How one config key is read from text (``parse``) and set on the command line.  A
+# key without a flag is the positional command; a flag without a metavar is a switch
+# that sets its key to false.
+Key = namedtuple("Key", "parse flag metavar help", defaults=(None, None, None))
 
-    A key without a flag is the positional command; a flag without a
-    metavar is a switch that sets its key to false.
-    """
-
-    parse: Callable[[str], Any]
-    flag: str | None = None
-    metavar: str | None = None
-    help: str | None = None
-
-
-# Every config key in canonical order, the order of the dataclass fields.
+# Every config key in canonical order: the fields of ExperimentConfig, with the
+# PhaseModel's in place of ``model``.
 KEYS = {
     "command": Key(str),
     "kind": Key(str, "--model", "KIND", f"phase model kind: {' | '.join(MODEL_KINDS)}"),
@@ -170,7 +158,7 @@ def build_config(raw: Mapping[str, str]) -> ExperimentConfig:
             raise
         except ValueError:
             raise ConfigError(f"{name} must be {_EXPECTED[key.parse]}, got {text!r}") from None
-    model_values = {f.name: values.pop(f.name) for f in fields(PhaseModel) if f.name in values}
+    model_values = {name: values.pop(name) for name in PhaseModel.__slots__ if name in values}
     try:
         model = PhaseModel(**model_values)
     except ValueError as exc:
@@ -179,7 +167,7 @@ def build_config(raw: Mapping[str, str]) -> ExperimentConfig:
 
 
 def _experiment(*, command=None, trials=10_000, angles=None, **values) -> ExperimentConfig:
-    """The config from parsed fields, plus the two fallbacks no dataclass default gives."""
+    """The config from parsed fields, plus the two fallbacks no field default gives."""
     if command is None:
         raise ConfigError("missing 'command'")
     angles = angles or default_angles(command)
@@ -236,7 +224,7 @@ def parse_config(text: str) -> ExperimentConfig:
     return build_config(read_key_values(text))
 
 
-def _text(value: Any) -> str:
+def _text(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, tuple):
@@ -246,6 +234,6 @@ def _text(value: Any) -> str:
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical config text; ``parse_config`` inverts it exactly."""
-    values = asdict(config)
-    values.update(values.pop("model"))
+    values = {name: getattr(config, name) for name in config.__slots__}
+    values.update((name, getattr(config.model, name)) for name in PhaseModel.__slots__)
     return "".join(f"{name} = {_text(values[name])}\n" for name in KEYS)

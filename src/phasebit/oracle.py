@@ -20,9 +20,8 @@ and that module imports no numpy either.  The singlet correlations, which
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .phase import checked_int
+from .phase import _Record, checked_int
 
 _MAX_QUBITS = 10
 _NORM_TOL = 1e-12
@@ -30,12 +29,10 @@ _NORM_TOL = 1e-12
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class QuantumState:
-    """Normalized complex amplitude vector over ``n_qubits``."""
+class QuantumState(_Record):
+    """Normalized complex amplitude vector over ``n_qubits``, a tuple of Python complex."""
 
-    n_qubits: int
-    amplitudes: tuple[complex, ...]
+    __slots__ = ("n_qubits", "amplitudes")
 
     def __post_init__(self) -> None:
         n = checked_int("n_qubits", self.n_qubits, 1, _MAX_QUBITS)

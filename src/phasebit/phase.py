@@ -44,11 +44,7 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from collections.abc import Iterator, Sequence
 
 TWO_PI = 2.0 * math.pi
 
@@ -159,8 +155,63 @@ def _steps(turns: np.ndarray) -> np.ndarray:
     return turns.view(np.int64).astype(np.float64)
 
 
-@dataclass(frozen=True)
-class PhaseModel:
+class _Record:
+    """Base of phasebit's frozen records: the fields are the subclass's ``__slots__``.
+
+    ``_defaults`` maps the optional fields to their defaults.  ``__init__``
+    takes the fields by position or keyword and then runs ``__post_init__``,
+    which may store a checked value with ``object.__setattr__``.  Equality,
+    hash and repr go over the fields in order; any other write or delete
+    raises ``AttributeError``.  It stands in for a frozen dataclass: the
+    ``dataclasses`` module imports ``inspect``, and that import alone took
+    ~14 ms of each command's start-up (``python -S``, Python 3.11).
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls, names = type(self), self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments, got {len(args)}")
+        values = {**cls._defaults, **dict(zip(names, args))}
+        for name, value in kwargs.items():
+            if name not in names or name in names[: len(args)]:
+                raise TypeError(f"{cls.__name__}() got an unexpected or repeated argument {name!r}")
+            values[name] = value
+        for name in names:
+            if name not in values:
+                raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not attribute writes
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
+
+
+class PhaseModel(_Record):
     """Configuration of a reproducible phase process.
 
     ``ensemble_size``, ``frequency_spread`` and ``burn_in`` apply to the
@@ -171,11 +222,9 @@ class PhaseModel:
     the phase is rejected.
     """
 
-    kind: str = IID_UNIFORM
-    seed: int = 0
-    ensemble_size: int = 32
-    frequency_spread: float = 1.0
-    burn_in: int = 0
+    __slots__ = ("kind", "seed", "ensemble_size", "frequency_spread", "burn_in")
+    _defaults = {"kind": IID_UNIFORM, "seed": 0, "ensemble_size": 32, "frequency_spread": 1.0,
+                 "burn_in": 0}
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:

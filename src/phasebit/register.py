@@ -22,35 +22,28 @@ when :func:`initialize` runs, not with this module.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
 
-from .phase import BLOCK_TRIALS, PhaseStream, checked_int, wrap_angle
+from .phase import BLOCK_TRIALS, PhaseStream, _Record, checked_int, wrap_angle
 from .signals import dichotomic_array, run_counts
 
-if TYPE_CHECKING:
-    import numpy as np
 
-
-@dataclass(frozen=True)
-class Definite:
+class Definite(_Record):
     """A qubit pinned to a classical bit value, 0 or 1, stored as a Python int."""
 
-    bit: int
+    __slots__ = ("bit",)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bit", checked_int("bit", self.bit, 0, 1))
 
 
-@dataclass(frozen=True)
-class Balanced:
+class Balanced(_Record):
     """A qubit that reads the shared phase at detector angle ``alpha``.
 
     Over uniform phases it is green or red with probability 1/2 each; the
     angle is observable only through correlations with other qubits.
     """
 
-    alpha: float
+    __slots__ = ("alpha",)
 
     def __post_init__(self) -> None:
         if not isinstance(self.alpha, numbers.Real):
@@ -58,30 +51,34 @@ class Balanced:
         object.__setattr__(self, "alpha", wrap_angle(self.alpha))
 
 
-QubitState = Union[Definite, Balanced]
+QubitState = Definite | Balanced
 
 
-@dataclass
 class VirtualRegister:
     """Qubits measured against one shared phase stream; qubit ``signal_index`` gates acceptance.
 
     Like every integer input, ``signal_index`` passes
-    :func:`~phasebit.phase.checked_int` and is stored as a Python int.
+    :func:`~phasebit.phase.checked_int` and is stored as a Python int.  The
+    fields stay writable, so a register is not hashable.
     """
 
-    qubits: list[QubitState]
-    stream: PhaseStream
-    signal_index: int = 0
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        if not self.qubits:
+    def __init__(self, qubits: list[QubitState], stream: PhaseStream, signal_index: int = 0):
+        if not qubits:
             raise ValueError("register needs at least one qubit")
-        for q in self.qubits:
+        for q in qubits:
             if not isinstance(q, (Definite, Balanced)):
                 raise TypeError(f"not a qubit state: {q!r}")
-        if not isinstance(self.stream, PhaseStream):
-            raise TypeError(f"not a phase stream: {self.stream!r}")
-        self.signal_index = checked_int("signal_index", self.signal_index, 0, len(self.qubits) - 1)
+        if not isinstance(stream, PhaseStream):
+            raise TypeError(f"not a phase stream: {stream!r}")
+        self.qubits = qubits
+        self.stream = stream
+        self.signal_index = checked_int("signal_index", signal_index, 0, len(qubits) - 1)
+
+    def __repr__(self) -> str:
+        return (f"VirtualRegister(qubits={self.qubits!r}, stream={self.stream!r}, "
+                f"signal_index={self.signal_index!r})")
 
 
 def _accepted_count(register: VirtualRegister, trials: int) -> int:

@@ -44,14 +44,11 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from collections.abc import Sequence
 
-from .phase import PHASE_STEPS, PhaseStream, checked_int, step_phase, steps_below, wrap_angle
+from .phase import PHASE_STEPS, PhaseStream, _Record, checked_int, step_phase, steps_below
+from .phase import wrap_angle
 from .phase import chunk_quota, substream  # unused here; bench/layer_trace.py wraps them by these names
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # The floats at which the cosine's sign differs from the float just below,
 # near -pi/2, pi/2, 3pi/2 and 5pi/2: the only ones in COS_SIGN_RANGE.  The
@@ -102,13 +99,10 @@ def dichotomic_array(phi: np.ndarray, alpha: float) -> np.ndarray:
     return signal
 
 
-@dataclass(frozen=True)
-class CorrelationEstimate:
-    """Monte Carlo mean of ``+-1`` products with its normal-approximation error."""
+class CorrelationEstimate(_Record):
+    """Monte Carlo ``mean`` of ``n`` ``+-1`` products with its normal-approximation ``stderr``."""
 
-    mean: float
-    stderr: float
-    n: int
+    __slots__ = ("mean", "stderr", "n")
 
     @classmethod
     def from_product_sum(cls, total: int, n: int) -> "CorrelationEstimate":

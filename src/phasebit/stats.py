@@ -10,28 +10,24 @@ the same settings lives in :mod:`phasebit.oracle`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
-from .phase import TWO_PI, PhaseModel, checked_int, make_phase_stream, substream
+from .phase import TWO_PI, PhaseModel, _Record, checked_int, make_phase_stream, substream
 from .phase import chunk_quota  # unused here; bench/layer_trace.py wraps it by this name
 from .signals import CorrelationEstimate, analytic_correlation, sign_product_sums
 # unused here; bench/layer_trace.py wraps them by these names
 from .signals import dichotomic_array, estimate_correlation
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """One grid point of the correlation curve: exact value next to estimate."""
+class CurvePoint(_Record):
+    """Correlation curve point ``delta``: the ``analytic`` value next to the ``estimated`` one."""
 
-    delta: float
-    analytic: float
-    estimated: CorrelationEstimate
+    __slots__ = ("delta", "analytic", "estimated")
 
 
-@dataclass(frozen=True)
-class ChshResult:
-    """Four-correlator CHSH estimate.
+class ChshResult(_Record):
+    """Four-correlator CHSH estimate at ``angles`` ``(a1, a2, b1, b2)``.
 
     ``terms`` holds ``E(a1,b1), E(a1,b2), E(a2,b1), E(a2,b2)`` in that
     order, and ``s_value`` combines them with signs ``+ - + +``.  On shared
@@ -40,20 +36,10 @@ class ChshResult:
     on independent trials it adds the terms' errors in quadrature.
     """
 
-    angles: tuple[float, float, float, float]
-    terms: tuple[
-        CorrelationEstimate,
-        CorrelationEstimate,
-        CorrelationEstimate,
-        CorrelationEstimate,
-    ]
-    s_value: float
-    s_stderr: float
+    __slots__ = ("angles", "terms", "s_value", "s_stderr")
 
 
-class KsResult(NamedTuple):
-    statistic: float
-    critical_1pct: float
+KsResult = namedtuple("KsResult", "statistic critical_1pct")
 
 
 def correlation_curve(model: PhaseModel, deltas: Sequence[float], n: int) -> list[CurvePoint]:

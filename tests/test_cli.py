@@ -254,6 +254,15 @@ def test_a_config_file_without_a_command_key_and_no_positional_is_a_config_error
     assert err == "phasebit: config error: missing 'command'\n"
 
 
+def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"command = chsh\nseed = \xff\n")
+    code, out, err = run_cli(["--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("phasebit: config error: cannot read config file: 'utf-8' codec")
+    assert err.count("\n") == 1
+
+
 def test_missing_config_file_is_a_config_error(capsys):
     code, _, err = run_cli(["curve", "--config", "/no/such/file.cfg"], capsys)
     assert code == 2
@@ -464,6 +473,25 @@ def test_an_unwritable_out_path_is_refused_before_any_trial(where, tmp_path, mon
     assert stdout == "" and err.startswith("phasebit: config error:")
     assert ran == []
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("where", ["name-too-long", "null-byte"])
+def test_an_out_path_the_os_rejects_by_name_is_refused_before_any_trial(
+    where, tmp_path, monkeypatch, capsys
+):
+    ran = []
+    monkeypatch.setitem(cli._RUNNERS, "curve", (lambda config: ran.append(config), "curve"))
+    if where == "name-too-long":  # one component past NAME_MAX, 255 bytes on Linux and macOS
+        out = str(tmp_path / ("x" * 300))
+        argv = ["curve", "--out", out]
+    else:  # no command line can carry a NUL byte, but a config file can
+        out = str(tmp_path / "a\0b.csv")
+        (tmp_path / "nul.cfg").write_text(f"command = curve\nout = {out}\n", encoding="utf-8")
+        argv = ["--config", str(tmp_path / "nul.cfg")]
+    code, stdout, err = run_cli(argv, capsys)
+    assert code == 2 and stdout == "" and ran == []
+    assert err.startswith(f"phasebit: config error: out path {out!r} cannot be used: ")
+    assert err.count("\n") == 1
 
 
 # A valid value for each key that differs from its default under `init`.

@@ -74,6 +74,20 @@ def test_package_imports_without_numpy():
     assert done.returncode == 0, done.stderr
 
 
+def test_the_cli_loads_no_dataclasses_inspect_pathlib_or_typing():
+    # dataclasses alone would pull in inspect, ast, dis and tokenize at every start-up
+    done = run_without_site(["-c", (
+        "import sys\n"
+        "heavy = ('dataclasses', 'inspect', 'pathlib', 'typing')\n"
+        "import phasebit.cli\n"
+        "print('after import:', [m for m in heavy if m in sys.modules], file=sys.stderr)\n"
+        "assert phasebit.cli.main(['chsh', '--model', 'oscillator', '--trials', '1']) == 0\n"
+        "print('after chsh:', [m for m in heavy if m in sys.modules], file=sys.stderr)\n"
+    )])
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == b"after import: []\nafter chsh: []\n"
+
+
 @pytest.mark.parametrize("name", NUMPY_FREE)
 def test_numpy_free_commands_match_golden_bytes_without_numpy(name):
     done = run_without_site(["-m", "phasebit", *CASES[name]])
