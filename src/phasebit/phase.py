@@ -19,8 +19,9 @@ list of stream windows, the trials below given steps in that integer
 domain, for both models.  The ``iid`` windows of one call are hashed
 together and compared as turns, converting none to radians: in 128-bit
 lanes of Python ints when they total at most ``4 * BLOCK_TRIALS`` trials
-and numpy is not loaded, otherwise in numpy blocks of ``BLOCK_TRIALS``
-counters whose buffers all the windows share.  The ``oscillator``'s turns
+and numpy is not loaded, otherwise in numpy blocks of ``BLOCK_TRIALS // 2``
+counters, built from one row of 4096 per stride, whose ~0.55 MB of
+buffers all the windows share.  The ``oscillator``'s turns
 along a stream form an arithmetic progression mod ``2**64``, so its count
 is a closed form and generates no turn at all.
 
@@ -77,6 +78,11 @@ _LANES = 1 << 11
 # the ~60 ms numpy import under OPENBLAS_NUM_THREADS=1, which the CLI sets (2
 # shared vCPUs, Python 3.11); once loaded, numpy takes under 10 ns a trial.
 _INT_TRIALS = 4 * BLOCK_TRIALS
+# Trials per numpy counting pass, built as rows of _ROW counters: z and scratch
+# take 256 KB each and the row 32 KB.  Rows of 256 counters ran ~13% slower on
+# the 17 x 2e6 iid curve (2 shared vCPUs, numpy 2.4.6).
+_COUNT_TRIALS = BLOCK_TRIALS // 2
+_ROW = 1 << 12
 # 2*pi / 2**53 is exact, so k * _STEP_RADIANS rounds as (k / 2**53) * 2*pi does
 _STEP_RADIANS = _INV_2POW53 * TWO_PI
 
@@ -117,6 +123,18 @@ def checked_int(name: str, value: int, low: int, high: int | None = None) -> int
     return value
 
 
+@functools.lru_cache(maxsize=1)
+def _mix_operands() -> tuple:
+    """mix13's shifts and multipliers as 0-d uint64 arrays.
+
+    A ufunc takes a 0-d array operand in ~0.4 µs against ~0.6-0.8 µs for a
+    numpy scalar (numpy 2.4), which counts in a kernel of many short blocks.
+    """
+    import numpy as np
+
+    return tuple(np.array(v, dtype=np.uint64) for v in (30, _MIX1, 27, _MIX2, 31))
+
+
 def _mix(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Stafford's mix13, splitmix64's finalizer, in place on uint64 ``z``; returns ``z``.
 
@@ -125,13 +143,14 @@ def _mix(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """
     import numpy as np
 
-    np.right_shift(z, np.uint64(30), out=scratch)
+    shift1, mul1, shift2, mul2, shift3 = _mix_operands()
+    np.right_shift(z, shift1, out=scratch)
     z ^= scratch
-    z *= np.uint64(_MIX1)
-    np.right_shift(z, np.uint64(27), out=scratch)
+    z *= mul1
+    np.right_shift(z, shift2, out=scratch)
     z ^= scratch
-    z *= np.uint64(_MIX2)
-    np.right_shift(z, np.uint64(31), out=scratch)
+    z *= mul2
+    np.right_shift(z, shift3, out=scratch)
     z ^= scratch
     return z
 
@@ -498,30 +517,49 @@ def _iid_turns_below(windows: list[tuple]) -> list[list[int]]:
 
     Each window is ``(model, first, stride, n, limits)``.  Trial ``t``
     hashes ``(t + 1)*GAMMA + seed``, which for ``t = first + stride*(done +
-    j)`` is the block's offset plus ``j*(stride*GAMMA)`` mod ``2**64``.  So
-    the ramp ``j*(stride*GAMMA)`` is built once per stride, and each block of
-    ``BLOCK_TRIALS`` trials is one add, :func:`_mix` and one compare per
-    limit, all in buffers allocated once per call and shared by its windows.
+    j)`` is the block's offset plus ``j*s`` mod ``2**64``, ``s =
+    stride*GAMMA``.  A block of ``_COUNT_TRIALS`` counters is filled as rows
+    of ``_ROW``: the row ``j*s``, ``j < _ROW``, is built once per stride, and
+    row ``k`` of a block adds its start, the offset plus ``k*_ROW*s``, to it:
+    one broadcast add for the full rows and one add for a last partial row.
+    The starts move on by ``_COUNT_TRIALS*s`` a block.  Then each block is
+    :func:`_mix` and one compare per limit into a bool view of the mix's
+    scratch buffer, which is free once the mix returns.  The buffers are
+    allocated once per call and shared by its windows; the limits are 0-d
+    arrays, which a ufunc takes faster than numpy scalars.
     """
     import numpy as np
 
-    size = min(max((w[3] for w in windows), default=0), BLOCK_TRIALS)
+    size = min(max((w[3] for w in windows), default=0), _COUNT_TRIALS)
     z, scratch = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
-    mask = np.empty(size, dtype=bool)
-    ramp_stride = ramp = None
+    rows, mask = z[: size - size % _ROW].reshape(-1, _ROW), scratch.view(bool)
+    row_stride = None
     counts = []
     for model, first, stride, n, limits in windows:
         below = [n if c == _TURN else 0 for c in limits]
-        compared = [(i, np.uint64(c)) for i, c in enumerate(limits) if c < _TURN]
-        if n and stride != ramp_stride:
-            ramp_stride, ramp = stride, np.arange(size, dtype=np.uint64)
-            ramp *= np.uint64(stride * _GAMMA % _TURN)
-        for done in range(0, n, BLOCK_TRIALS):
-            block = min(BLOCK_TRIALS, n - done)
-            offset = np.uint64(((first + stride * done + 1) * _GAMMA + model.seed) % _TURN)
-            turns = _mix(np.add(ramp[:block], offset, out=z[:block]), scratch[:block])
+        compared = [(i, np.array(c, dtype=np.uint64)) for i, c in enumerate(limits) if c < _TURN]
+        if stride != row_stride:
+            row_stride, s = stride, stride * _GAMMA % _TURN
+            row = np.arange(min(size, _ROW), dtype=np.uint64)
+            row *= np.uint64(s)
+            row_starts = np.arange(size // _ROW + 1, dtype=np.uint64)
+            row_starts *= np.uint64(_ROW * s % _TURN)
+            block_step = np.array(_COUNT_TRIALS * s % _TURN, dtype=np.uint64)
+        # the counter of the first trial in each row of the window's first block
+        starts = row_starts + np.uint64(((first + 1) * _GAMMA + model.seed) % _TURN)
+        starts_col = starts[:, None]
+        for done in range(0, n, _COUNT_TRIALS):
+            block = min(_COUNT_TRIALS, n - done)
+            full, rest = divmod(block, _ROW)
+            if full:
+                np.add(starts_col[:full], row, out=rows[:full])
+            if rest:
+                np.add(row[:rest], starts[full], out=z[full * _ROW : block])
+            turns = _mix(z[:block], scratch[:block])
+            below_c = mask[:block]
             for i, c in compared:
-                below[i] += int(np.count_nonzero(np.less(turns, c, out=mask[:block])))
+                below[i] += int(np.count_nonzero(np.less(turns, c, out=below_c)))
+            starts += block_step
         counts.append(below)
     return counts
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -315,6 +316,19 @@ def test_options_before_the_command_give_the_bytes_of_options_after_it(command, 
     code, after, _ = run_cli([command, *OPTIONS], capsys)
     assert code == 0
     assert (0, after) == run_cli([*OPTIONS, command], capsys)[:2]
+
+
+@pytest.mark.parametrize("columns", [None, "40", "200"], ids=["unset", "40", "200"])
+def test_help_text_equals_the_stock_formatters(columns, monkeypatch):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    parser = cli._build_parser()
+    ours = parser.format_help()
+    # argparse's own formatter reads the width through shutil.get_terminal_size
+    parser.formatter_class = argparse.RawDescriptionHelpFormatter
+    assert ours == parser.format_help()
 
 
 def test_help_names_every_command_and_its_help(capsys):

@@ -88,6 +88,19 @@ def test_the_cli_loads_no_dataclasses_inspect_pathlib_or_typing():
     assert done.stderr == b"after import: []\nafter chsh: []\n"
 
 
+def test_the_cli_loads_no_shutil_bz2_or_lzma():
+    # argparse imports shutil, and with it bz2 and lzma, for a formatter without a width
+    done = run_without_site(["-c", (
+        "import sys\n"
+        "import phasebit.cli\n"
+        "assert phasebit.cli.main(['chsh', '--model', 'oscillator', '--trials', '1']) == 0\n"
+        "heavy = ('shutil', 'bz2', 'lzma')\n"
+        "print('after chsh:', [m for m in heavy if m in sys.modules], file=sys.stderr)\n"
+    )])
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == b"after chsh: []\n"
+
+
 @pytest.mark.parametrize("name", NUMPY_FREE)
 def test_numpy_free_commands_match_golden_bytes_without_numpy(name):
     done = run_without_site(["-m", "phasebit", *CASES[name]])

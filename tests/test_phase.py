@@ -440,6 +440,25 @@ def test_python_int_count_equals_the_numpy_count_bit_for_bit(
     assert [type(c) for c in by_ints] == [int] * len(limits)
 
 
+# a block of 2**15 counters is built from rows of 4096: around a row, a block and a row
+# past two blocks
+SPLIT_POINTS = [1, 4095, 4096, 4097, 2**15 - 1, 2**15, 2**15 + 1, 2**16 + 4097]
+
+
+@pytest.mark.parametrize("stride", [1, 17])
+@pytest.mark.parametrize("n", SPLIT_POINTS)
+@pytest.mark.parametrize("near_end", [False, True], ids=["start", "end"])
+def test_numpy_count_equals_the_python_int_count_at_the_row_and_block_splits(
+    n, stride, near_end
+):
+    # near_end puts the window's last trial at 2**63 - 1
+    first = 2**63 - 1 - stride * (n - 1) if near_end else 12345
+    last = _splitmix64(9, first + stride * (n - 1))
+    limits = [0, 1, 2**62, 2**63, last, last + 1, 2**64 - 1, 2**64]
+    window = (PhaseModel(seed=9), first, stride, n, limits)
+    assert phase_module._iid_turns_below([window]) == phase_module._iid_turns_below_int([window])
+
+
 def test_one_numpy_call_counts_windows_of_several_strides_and_sizes():
     windows = [
         (PhaseModel(seed=s), first, stride, n, [2**62, 2**64, 0, 2**63])

@@ -18,6 +18,7 @@ from phasebit import (
     ks_uniformity,
     make_phase_stream,
 )
+from phasebit.phase import BLOCK_TRIALS
 
 CANONICAL = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
 
@@ -155,6 +156,19 @@ def test_estimator_memory_is_bounded_by_the_block(kind, estimate):
     finally:
         tracemalloc.stop()
     assert peak < 8_000_000
+
+
+def test_iid_curve_working_set_stays_under_12_block_sizes():
+    # numpy is loaded, so the 17 windows of 300000 trials are hashed in the numpy kernel,
+    # whose buffers (z and scratch at 256 KB, a 32 KB row) are its whole working set
+    deltas = [k * math.pi / 16 for k in range(17)]
+    tracemalloc.start()
+    try:
+        correlation_curve(PhaseModel(seed=5), deltas, 300_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * BLOCK_TRIALS
 
 
 def test_oscillator_chsh_memory_does_not_grow_with_the_trial_count():
