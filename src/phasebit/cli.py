@@ -5,14 +5,19 @@ same config reproduces the output byte for byte.  ``--workers`` is only
 range-checked: no command splits its trials by it, so it never changes the
 output.  Floats are printed with 12 significant digits, CSV rows end in a
 line feed, and JSON mirrors the CSV columns as an array of objects.
+
+:func:`main` reads a plain command line itself, to the same values argparse
+gives: one command word, the exact flags of ``KEYS`` and ``--config`` with
+their values, and the ``--independent-trials`` switch.  argparse, which
+loads ``gettext`` and ``locale``, is imported only for every other command
+line: ``--help``, abbreviations, a value that starts with ``-`` and every
+usage error.  Each emitter imports ``csv`` or ``json`` itself, so a command
+loads only the one its format needs.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
-import json
 import math
 import os
 import sys
@@ -75,6 +80,8 @@ def _write_text(out_path: str, data: str) -> None:
 
 def emit_csv(fieldnames: Sequence[str], rows: Sequence[Sequence], out_path: str) -> None:
     """Write UTF-8 CSV: header first, LF line endings, floats at 12 digits."""
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(fieldnames)
@@ -85,6 +92,8 @@ def emit_csv(fieldnames: Sequence[str], rows: Sequence[Sequence], out_path: str)
 
 def emit_json(fieldnames: Sequence[str], rows: Sequence[Sequence], out_path: str) -> None:
     """Write the same table as an array of objects with identical field names."""
+    import json
+
     payload = [
         {name: _json_value(v) for name, v in zip(fieldnames, row)} for row in rows
     ]
@@ -247,9 +256,11 @@ def _help_formatter(prog: str) -> argparse.HelpFormatter:
 
     argparse builds a formatter for every ``add_argument``, and without a
     ``width`` each one imports ``shutil`` (and with it ``bz2`` and ``lzma``)
-    to read the terminal width: ~2 ms of every command's start-up.  The
-    width is read here as ``shutil`` reads it: ``COLUMNS``, else the
-    terminal on ``sys.__stdout__``, else 80; argparse then takes off 2.
+    to read the terminal width: ~2 ms of every run that builds the parser,
+    which :func:`main` does only for help and the command lines it leaves to
+    argparse, usage errors among them.  The width is read here as
+    ``shutil`` reads it: ``COLUMNS``, else the terminal on
+    ``sys.__stdout__``, else 80; argparse then takes off 2.
     """
     try:
         columns = int(os.environ["COLUMNS"])
@@ -260,10 +271,14 @@ def _help_formatter(prog: str) -> argparse.HelpFormatter:
             columns = os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
         except (AttributeError, ValueError, OSError):  # no stdout, or not a terminal
             columns = 80
+    import argparse
+
     return argparse.RawDescriptionHelpFormatter(prog, width=columns - 2)
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="phasebit",
         description="Deterministic experiments on shared-phase dichotomic signals.",
@@ -286,29 +301,77 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+# Each option flag of the command line: its name in ``KEYS`` (or ``config``) and
+# whether it takes a value; a flag without one is a switch that sets its key to false.
+_OPTIONS = {
+    "--config": ("config", True),
+    **{key.flag: (name, key.metavar is not None) for name, key in KEYS.items() if key.flag},
+}
+
+
+def _scan(argv: Sequence[str]) -> dict[str, str] | None:
+    """The options of a plain command line, as argparse would read them; else None.
+
+    Plain is: at most one command word; ``--config`` or an exact ``KEYS`` flag,
+    followed by a separate value that does not start with ``-`` or joined to
+    its value by ``=``; and the ``--independent-trials`` switch without ``=``.
+    A command line without a command word needs a non-empty ``--config``.
+    argparse reads every other command line (help, abbreviations, a value that
+    starts with ``-``, ``--``, every error), so it stays the one source of help
+    text and usage errors.
+    """
+    options: dict[str, str] = {}
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("-"):
+            if "command" in options or token not in _RUNNERS:
+                return None
+            options["command"] = token
+            continue
+        flag, equals, value = token.partition("=")
+        if flag not in _OPTIONS:
+            return None
+        name, takes_value = _OPTIONS[flag]
+        if not takes_value:
+            if equals:
+                return None
+            value = "false"
+        elif not equals:
+            value = next(tokens, "-")  # a missing value reads as one argparse declines
+            if value.startswith("-"):
+                return None
+        options[name] = value
+    if "command" not in options and not options.get("config"):
+        return None
+    return options
+
+
+def _config_from_args(options: dict[str, str | None]) -> ExperimentConfig:
     raw: dict[str, str] = {}
-    if args.config:
+    if options.get("config"):
         try:
-            with open(args.config, encoding="utf-8-sig") as fh:  # a leading BOM is no key
+            with open(options["config"], encoding="utf-8-sig") as fh:  # a leading BOM is no key
                 text = fh.read()
         except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
             raise ConfigError(f"cannot read config file: {exc}") from None
         raw = read_key_values(text)
     raw.update(
-        (name, value) for name, value in vars(args).items() if name in KEYS and value is not None
+        (name, value) for name, value in options.items() if name in KEYS and value is not None
     )
     return build_config(raw)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # no BLAS call here; its pool only spins
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None and not args.config:
-        parser.error("the following arguments are required: command")
+    options = _scan(sys.argv[1:] if argv is None else argv)
+    if options is None:
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        if args.command is None and not args.config:
+            parser.error("the following arguments are required: command")
+        options = vars(args)
     try:
-        config = _config_from_args(args)
+        config = _config_from_args(options)
     except ConfigError as exc:
         print(f"phasebit: config error: {exc}", file=sys.stderr)
         return 2

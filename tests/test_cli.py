@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -9,7 +10,9 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import argv_grid
 from phasebit import ExperimentConfig, PhaseModel, cli
 from phasebit.cli import emit_csv, main, run
 from phasebit.config import COMMANDS, KEYS, build_config
@@ -338,6 +341,80 @@ def test_help_names_every_command_and_its_help(capsys):
     out = capsys.readouterr().out
     for name, (_, help_text) in cli._RUNNERS.items():
         assert re.search(rf"^ +{name} +{re.escape(help_text)}$", out, re.MULTILINE)
+
+
+# -------------------------------------------- the scanner against argparse
+
+FLAGS = ["--config", *(key.flag for key in KEYS.values() if key.flag)]
+VALUES = ["", "-", "-1", "pi/4", "1", "json", "iid", "0,pi/2", "a=b", " -x", "chsh"]
+# argvs built from plain units (a command, a flag and its value, '--flag=value', the
+# switch) and, one unit in five, a token only argparse reads or any short text
+UNITS = st.one_of(
+    st.tuples(st.sampled_from(COMMANDS)),
+    st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)),
+    st.tuples(st.builds("{}={}".format, st.sampled_from(FLAGS), st.sampled_from(VALUES))),
+    st.just(("--independent-trials",)),
+    st.tuples(st.one_of(
+        st.sampled_from(["--", "-h", "--help", "--tri", "--see", "--indep", "--nope", "run",
+                         *FLAGS, *VALUES]),
+        st.text(max_size=3),
+    )),
+)
+ARGVS = st.lists(UNITS, max_size=5).map(lambda units: [token for unit in units for token in unit])
+
+
+@settings(max_examples=600, deadline=None)
+@given(ARGVS)
+def test_the_scanner_reads_what_argparse_reads(argv):
+    assert argv_grid.disagreement(argv) is None
+
+
+def test_the_scanner_reads_what_argparse_reads_on_every_argv_of_up_to_4_tokens():
+    tried, read, failures = argv_grid.check(4)
+    assert (tried, failures) == (sum(len(argv_grid.ALPHABET) ** n for n in range(5)), [])
+    assert read > 500
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seed", "-1", "chsh"],  # a value that starts with '-'
+        ["--out", "-", "chsh"],
+        ["chsh", "--tri", "5"],  # an abbreviation
+        ["chsh", "curve"],  # a second command word
+        ["chsh", "--trials"],  # a missing value
+        ["chsh", "--independent-trials=yes"],  # a switch given '=value'
+        ["--seed", "1"],  # no command and no config file
+        ["--config", "", "--seed", "1"],
+        ["chsh", "--", "--seed", "1"],
+        ["-h"],
+    ],
+)
+def test_the_scanner_leaves_other_command_lines_to_argparse(argv):
+    assert cli._scan(argv) is None
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses reads the annotations through it
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+BENCH_ARGVS = {
+    f"{name}:{inv.label}": inv.argv(seed=401)
+    for name, workload in _bench_workloads().items()
+    for inv in workload.invocations
+}
+
+
+@pytest.mark.parametrize("label", sorted(BENCH_ARGVS))
+def test_the_scanner_reads_every_benchmark_command_line(label):
+    argv = BENCH_ARGVS[label]
+    assert cli._scan(argv) is not None
+    assert argv_grid.disagreement(argv) is None
 
 
 @pytest.mark.parametrize(

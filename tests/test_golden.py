@@ -101,6 +101,33 @@ def test_the_cli_loads_no_shutil_bz2_or_lzma():
     assert done.stderr == b"after chsh: []\n"
 
 
+@pytest.mark.parametrize(
+    "argv, absent, present",
+    [
+        (["curve", "--trials", "100"], ("argparse", "gettext", "locale", "json"), ()),
+        (["chsh", "--format", "json", "--trials", "100"], ("argparse", "csv"), ()),
+        (["--help"], (), ("argparse",)),
+    ],
+    ids=["curve-csv", "chsh-json", "help"],
+)
+def test_a_command_loads_argparse_only_for_help_and_only_its_emitters_module(
+    argv, absent, present
+):
+    # a plain command line is read without argparse, which loads gettext and locale
+    done = run_without_site(["-c", (
+        "import sys\n"
+        "import phasebit.cli\n"
+        "try:\n"
+        f"    code = phasebit.cli.main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "assert code == 0, code\n"
+        f"print('loaded:', [m for m in {absent + present!r} if m in sys.modules], file=sys.stderr)\n"
+    )])
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == f"loaded: {list(present)}\n".encode()
+
+
 @pytest.mark.parametrize("name", NUMPY_FREE)
 def test_numpy_free_commands_match_golden_bytes_without_numpy(name):
     done = run_without_site(["-m", "phasebit", *CASES[name]])
