@@ -9,10 +9,10 @@ line feed, and JSON mirrors the CSV columns as an array of objects.
 :func:`main` reads a plain command line itself, to the same values argparse
 gives: one command word, the exact flags of ``KEYS`` and ``--config`` with
 their values, and the ``--independent-trials`` switch.  argparse, which
-loads ``gettext`` and ``locale``, is imported only for every other command
-line: ``--help``, abbreviations, a value that starts with ``-`` and every
-usage error.  Each emitter imports ``csv`` or ``json`` itself, so a command
-loads only the one its format needs.
+loads ``gettext``, ``locale`` and ``shutil``, is imported only for every
+other command line: ``--help``, abbreviations, a value that starts with
+``-`` and every usage error.  Each emitter imports ``csv`` or ``json``
+itself, so a command loads only the one its format needs.
 """
 
 from __future__ import annotations
@@ -251,31 +251,6 @@ def run(config: ExperimentConfig) -> int:
     return 0
 
 
-def _help_formatter(prog: str) -> argparse.HelpFormatter:
-    """argparse's raw-description formatter at the width ``shutil.get_terminal_size`` gives.
-
-    argparse builds a formatter for every ``add_argument``, and without a
-    ``width`` each one imports ``shutil`` (and with it ``bz2`` and ``lzma``)
-    to read the terminal width: ~2 ms of every run that builds the parser,
-    which :func:`main` does only for help and the command lines it leaves to
-    argparse, usage errors among them.  The width is read here as
-    ``shutil`` reads it: ``COLUMNS``, else the terminal on
-    ``sys.__stdout__``, else 80; argparse then takes off 2.
-    """
-    try:
-        columns = int(os.environ["COLUMNS"])
-    except (KeyError, ValueError):
-        columns = 0
-    if columns <= 0:
-        try:
-            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
-        except (AttributeError, ValueError, OSError):  # no stdout, or not a terminal
-            columns = 80
-    import argparse
-
-    return argparse.RawDescriptionHelpFormatter(prog, width=columns - 2)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     import argparse
 
@@ -283,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="phasebit",
         description="Deterministic experiments on shared-phase dichotomic signals.",
         epilog="commands:" + "".join(f"\n  {n:<9} {h}" for n, (_, h) in _RUNNERS.items()),
-        formatter_class=_help_formatter,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--config", metavar="PATH", help="key = value config file")
     for name, key in KEYS.items():

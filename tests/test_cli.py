@@ -1,9 +1,9 @@
-import argparse
 import importlib.util
 import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -322,16 +322,28 @@ def test_options_before_the_command_give_the_bytes_of_options_after_it(command, 
 
 
 @pytest.mark.parametrize("columns", [None, "40", "200"], ids=["unset", "40", "200"])
-def test_help_text_equals_the_stock_formatters(columns, monkeypatch):
+def test_help_text_wraps_to_the_terminal_width(columns, monkeypatch, capsys):
     if columns is None:
         monkeypatch.delenv("COLUMNS", raising=False)
     else:
         monkeypatch.setenv("COLUMNS", columns)
-    parser = cli._build_parser()
-    ours = parser.format_help()
-    # argparse's own formatter reads the width through shutil.get_terminal_size
-    parser.formatter_class = argparse.RawDescriptionHelpFormatter
-    assert ours == parser.format_help()
+    # argparse's width: COLUMNS, else the terminal on sys.__stdout__, else 80; less 2
+    width = shutil.get_terminal_size().columns - 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    # the description and the command list after it are printed raw, unwrapped
+    usage, _, rest = out.partition("\n\n" + cli._build_parser().description + "\n\n")
+    options = rest.partition("\ncommands:\n")[0].split("\n")
+    assert options[0] == "positional arguments:"
+    for line in usage.split("\n") + options:
+        assert len(line) <= width or len(line.split()) == 1, line  # a word is never broken
+    # and filled: a help line never ends where the next line's first word would fit
+    for line, following in zip(options, options[1:]):
+        indent = len(following) - len(following.lstrip())
+        if following and indent > 2 and indent == len(line) - len(line.lstrip()):
+            assert len(line) + 1 + len(following.split()[0]) > width, (line, following)
 
 
 def test_help_names_every_command_and_its_help(capsys):
