@@ -11,13 +11,13 @@ gives: one command word, the exact flags of ``KEYS`` and ``--config`` with
 their values, and the ``--independent-trials`` switch.  argparse, which
 loads ``gettext``, ``locale`` and ``shutil``, is imported only for every
 other command line: ``--help``, abbreviations, a value that starts with
-``-`` and every usage error.  Each emitter imports ``csv`` or ``json``
-itself, so a command loads only the one its format needs.
+``-`` and every usage error.  No field can hold a comma, a quote or a line
+break, so a CSV line is its fields joined by commas, and only JSON imports
+a module to write with: :func:`emit_json` imports ``json`` itself.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import sys
@@ -80,14 +80,8 @@ def _write_text(out_path: str, data: str) -> None:
 
 def emit_csv(fieldnames: Sequence[str], rows: Sequence[Sequence], out_path: str) -> None:
     """Write UTF-8 CSV: header first, LF line endings, floats at 12 digits."""
-    import csv
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(fieldnames)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    _write_text(out_path, buffer.getvalue())
+    # a field is a field name, a number or a gates label: none needs quoting
+    _write_text(out_path, "".join(",".join(map(_fmt, row)) + "\n" for row in [fieldnames, *rows]))
 
 
 def emit_json(fieldnames: Sequence[str], rows: Sequence[Sequence], out_path: str) -> None:
@@ -227,8 +221,11 @@ def _check_out(out_path: str) -> None:
         raise ConfigError(f"out path {out_path!r} cannot be used: {reason}") from None
     if os.path.isdir(out_path):
         raise ConfigError(f"out path {out_path!r} is a directory")
-    if not os.path.isdir(os.path.dirname(out_path) or os.curdir):
+    directory = os.path.dirname(out_path) or os.curdir
+    if not os.path.isdir(directory):
         raise ConfigError(f"out path {out_path!r} is not in an existing directory")
+    if not os.access(out_path if os.path.exists(out_path) else directory, os.W_OK):
+        raise ConfigError(f"out path {out_path!r} is not writable")
 
 
 def run(config: ExperimentConfig) -> int:

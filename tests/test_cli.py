@@ -1,4 +1,6 @@
+import csv
 import importlib.util
+import io
 import json
 import math
 import os
@@ -159,7 +161,7 @@ def test_init_windows_give_the_rows_of_one_whole_run(model, trials, signal_index
     assert out == capsys.readouterr().out
 
 
-def test_init_memory_does_not_grow_with_trials():
+def test_init_holds_one_small_window():
     angles = tuple(0.4 * k for k in range(8))
     # a first run loads numpy, so the traced run allocates only what a run holds
     assert run(ExperimentConfig(command="init", model=PhaseModel(), trials=1, angles=angles)) == 0
@@ -170,22 +172,38 @@ def test_init_memory_does_not_grow_with_trials():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one window of accepted columns and block buffers; the whole run's columns are 4 MB
-    assert peak < 40 * BLOCK_TRIALS
-
-
-def test_init_holds_one_small_window():
-    angles = tuple(0.4 * k for k in range(8))
-    assert run(ExperimentConfig(command="init", model=PhaseModel(), trials=1, angles=angles)) == 0
-    config = ExperimentConfig(command="init", model=PhaseModel(), trials=10**6, angles=angles)
-    tracemalloc.start()
-    try:
-        assert run(config) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     # an _INIT_WINDOW window's arrays are ~0.27 MB; BLOCK_TRIALS windows took ~2.1 MB
     assert peak < 8 * BLOCK_TRIALS
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.parametrize(
+    "argv, trials, bound_mb",
+    [
+        (["init", "--angles", "0,pi/8,pi/4,3pi/8,pi/2,5pi/8,3pi/4,7pi/8"], ("1", "2000000"), 1.5),
+        # the iid curve's count kernel holds one fixed set of block buffers
+        (["curve"], ("300000", "2000000"), 0.5),
+    ],
+    ids=["init", "curve"],
+)
+def test_peak_rss_does_not_grow_with_trials(argv, trials, bound_mb):
+    # A child's maxrss starts at its parent's, and RUSAGE_CHILDREN reports the largest
+    # child's, so each command runs under a small python -S parent of its own.
+    script = (
+        "import resource, subprocess, sys\n"
+        "for trials in sys.argv[1:3]:\n"
+        "    command = [sys.executable, '-m', 'phasebit', *sys.argv[3:], '--trials', trials]\n"
+        "    subprocess.run(command, stdout=subprocess.DEVNULL, check=True)\n"
+        "    print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script, *trials, *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    small, large = map(float, done.stdout.split())
+    assert large - small <= bound_mb, f"{small:.2f} MB, then {large:.2f} MB"
 
 
 def test_gates_truth_table(capsys):
@@ -445,6 +463,30 @@ def test_a_missing_or_unknown_command_exits_2_with_the_argparse_message(argv, me
     assert message in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, code, expected",
+    [
+        (["--tri", "100", "--seed", "1", "--format", "json", "chsh"], 0,
+         ["chsh", "--trials", "100", "--seed", "1", "--format", "json"]),
+        (["chsh", "--seed", "-1"], 2, "phasebit: config error: seed must be in 0.."),
+        (["chsh", "--trials"], 2, "phasebit: error: argument --trials: expected one argument"),
+    ],
+    ids=["abbreviation", "negative-value", "missing-value"],
+)
+def test_command_lines_left_to_argparse_run_end_to_end(argv, code, expected, capsys):
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code
+    if code:  # the error is the last line, after argparse's usage
+        assert captured.out == "" and captured.err.splitlines()[-1].startswith(expected)
+    else:  # the command line reads as the one spelled out in full
+        assert captured.err == ""
+        assert (0, captured.out) == run_cli(expected, capsys)[:2]
+
+
 # -------------------------------------------------------------- exit codes
 
 def test_out_path_in_a_missing_directory_is_a_config_error(capsys):
@@ -522,6 +564,16 @@ def test_workers_outside_1_to_256_is_config_error(workers, capsys):
     assert err.startswith("phasebit: config error:") and "workers" in err
 
 
+def test_oscillator_chsh_runs_at_the_largest_ensemble(capsys):
+    code, out, err = run_cli(
+        ["chsh", "--model", "oscillator", "--ensemble-size", str(2**20), "--trials", "1000",
+         "--seed", "1", "--format", "json"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert abs(json.loads(out)[0]["s"]) <= 2.0
+
+
 def test_oversized_ensemble_is_config_error(capsys):
     code, out, err = run_cli(
         ["curve", "--model", "oscillator", "--ensemble-size", "1048577", "--trials", "10"],
@@ -566,11 +618,14 @@ def test_run_refuses_a_library_config_with_a_non_integer_or_non_real_field(field
     assert captured.err.startswith("phasebit: config error:")
 
 
-@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "no-write-permission"])
 def test_an_unwritable_out_path_is_refused_before_any_trial(where, tmp_path, monkeypatch, capsys):
     ran = []
     monkeypatch.setitem(cli._RUNNERS, "curve", (lambda config: ran.append(config), "curve"))
     out = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+    if where == "no-write-permission":  # root may write anywhere, so os.access is made to refuse
+        monkeypatch.setattr(os, "access", lambda path, mode, **kwargs: mode != os.W_OK)
+        out = tmp_path / "x.csv"
     code, stdout, err = run_cli(["curve", "--trials", "2000000", "--out", str(out)], capsys)
     assert code == 2
     assert stdout == "" and err.startswith("phasebit: config error:")
@@ -657,6 +712,32 @@ def test_emit_csv_uses_12_significant_digits(tmp_path):
     path = tmp_path / "digits.csv"
     emit_csv(("x",), [(math.pi,)], str(path))
     assert path.read_text(encoding="utf-8") == "x\n3.14159265359\n"
+
+
+def _csv_writer_text(fieldnames, rows) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(fieldnames)
+    writer.writerows([cli._fmt(v) for v in row] for row in rows)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *([command, "--model", model, "--trials", "300", "--seed", "5"]
+          for command in COMMANDS for model in ("iid", "oscillator")),
+        ["gates", "--angles", "1e300,-pi,5e-324"],
+        ["init", "--trials", "1", "--seed", "1"],  # nan
+        ["chsh", "--angles", "0,pi/2,0,0", "--trials", "4", "--seed", "1"],  # inf
+    ],
+    ids=" ".join,
+)
+def test_emit_csv_writes_the_bytes_of_csv_writer(argv, capsys):
+    config = cli._config_from_args(cli._scan(argv))
+    fieldnames, rows = cli._RUNNERS[config.command][0](config)
+    emit_csv(fieldnames, rows, "-")
+    assert capsys.readouterr().out == _csv_writer_text(fieldnames, rows)
 
 
 # ------------------------------------------------------------- module entry

@@ -104,7 +104,7 @@ def test_the_cli_loads_no_shutil_bz2_or_lzma():
 @pytest.mark.parametrize(
     "argv, absent, present",
     [
-        (["curve", "--trials", "100"], ("argparse", "gettext", "locale", "json"), ()),
+        (["curve", "--trials", "100"], ("argparse", "gettext", "locale", "csv", "json"), ()),
         (["chsh", "--format", "json", "--trials", "100"], ("argparse", "csv"), ()),
         (["--help"], (), ("argparse",)),
     ],
