@@ -19,8 +19,8 @@ list of stream windows, the trials below given steps in that integer
 domain, for both models.  The ``iid`` windows of one call are hashed
 together and compared as turns, converting none to radians: in 128-bit
 lanes of Python ints when they total at most ``4 * BLOCK_TRIALS`` trials
-and numpy is not loaded, otherwise in numpy blocks of ``BLOCK_TRIALS // 2``
-counters, built from one row of 4096 per stride, whose ~0.55 MB of
+and numpy is not loaded, otherwise in numpy blocks of ``BLOCK_TRIALS // 4``
+counters, built from one row of 4096 per stride, whose ~0.29 MB of
 buffers all the windows share.  The ``oscillator``'s turns
 along a stream form an arithmetic progression mod ``2**64``, so its count
 is a closed form and generates no turn at all.
@@ -80,9 +80,11 @@ _LANES = 1 << 11
 # shared vCPUs, Python 3.11); once loaded, numpy takes under 10 ns a trial.
 _INT_TRIALS = 4 * BLOCK_TRIALS
 # Trials per numpy counting pass, built as rows of _ROW counters: z and scratch
-# take 256 KB each and the row 32 KB.  Rows of 256 counters ran ~13% slower on
-# the 17 x 2e6 iid curve (2 shared vCPUs, numpy 2.4.6).
-_COUNT_TRIALS = BLOCK_TRIALS // 2
+# take 128 KB each and the row 32 KB.  Rows of 256 counters ran ~13% slower on
+# the 17 x 2e6 iid curve (2 shared vCPUs, numpy 2.4.6).  Blocks of 2**15 count
+# its 15 hashed windows ~6% faster, ~155 ms against ~164 ms (lower quartiles of
+# 15 in-process runs), with twice the buffers.
+_COUNT_TRIALS = BLOCK_TRIALS // 4
 _ROW = 1 << 12
 # 2*pi / 2**53 is exact, so k * _STEP_RADIANS rounds as (k / 2**53) * 2*pi does
 _STEP_RADIANS = _INV_2POW53 * TWO_PI

@@ -28,15 +28,17 @@ closed form for the ``oscillator``, at any trial count.
 trial count of each run and every angle's signal on it, all in one such
 call; the signal on each run is read from :func:`dichotomic` at the run's
 first phase.  :func:`sign_product_sums` weights the runs by a pair's
-product, and :func:`~phasebit.register.initialize` sizes its output from
-the runs on which the signal qubit reads ``+1``; the CLI's oscillator
-``init`` is that sum alone, with each qubit's ones summed over the
-accepted runs on which it reads ``-1``.  Counts and ``+-1`` product sums
-are Python ints, so the result does not depend on the blocking or the
-counting method.  The kernel itself needs no numpy: only
-:func:`dichotomic_array` imports it, and the ``iid`` count does when its
-windows total more than ``4 * BLOCK_TRIALS`` trials or numpy is already
-loaded.
+product; a pair whose two angles have equal edges, such as ``delta = 0``
+or ``pi``, has one product on every run, so a window of such pairs is
+summed as ``+-n`` per pair and counts no trial.
+:func:`~phasebit.register.initialize` sizes its output from the runs on
+which the signal qubit reads ``+1``; the CLI's oscillator ``init`` is that
+sum alone, with each qubit's ones summed over the accepted runs on which
+it reads ``-1``.  Counts and ``+-1`` product sums are Python ints, so the
+result does not depend on the blocking or the counting method.  The
+kernel itself needs no numpy: only :func:`dichotomic_array` imports it,
+and the ``iid`` count does when its counted windows total more than
+``4 * BLOCK_TRIALS`` trials or numpy is already loaded.
 """
 
 from __future__ import annotations
@@ -183,18 +185,33 @@ def sign_product_sums(
 
     Each window sums over its stream's next ``n`` trials: the
     :func:`run_counts` of the window's angles, weighted by ``s(x) * s(y)``
-    on each run.  Integer counts make the result independent of the
-    blocking and the counting method.  Every window is checked before any
-    work; each stream's cursor then advances by its ``n``.
+    on each run.  A pair whose two angles have equal :func:`sign_edges`
+    has one product on every run, its product at phase 0, so a window of
+    such pairs sums ``+-n`` per pair and counts no trial.  Integer counts
+    make the result independent of the blocking and the counting method.
+    Every window is checked before any work: ``n`` below 1 or trial
+    indices that would reach ``2**63`` raise ``ValueError``.  Each stream's
+    cursor then advances by its ``n``.
     """
     checked = []
     for stream, pairs, n in windows:
+        n = checked_int("n", n, 1)
+        stream._window(n)  # a window that counts no trial is checked too
         pairs = [(wrap_angle(x), wrap_angle(y)) for x, y in pairs]
-        checked.append((stream, pairs, n, list(dict.fromkeys(a for pair in pairs for a in pair))))
-    histograms = run_counts([(stream, angles, n) for stream, _, n, angles in checked])
+        if all(sign_edges(x) == sign_edges(y) for x, y in pairs):
+            angles = None
+        else:
+            angles = list(dict.fromkeys(a for pair in pairs for a in pair))
+        checked.append((stream, pairs, n, angles))
+    counted = [(stream, angles, n) for stream, _, n, angles in checked if angles is not None]
+    histograms = iter(run_counts(counted))
     sums = []
-    for (stream, pairs, n, angles), (runs, signs) in zip(checked, histograms):
+    for stream, pairs, n, angles in checked:
         stream.skip(n)
+        if angles is None:
+            sums.append([n * dichotomic(0.0, x) * dichotomic(0.0, y) for x, y in pairs])
+            continue
+        runs, signs = next(histograms)
         sign = dict(zip(angles, signs))
         sums.append(
             [sum(r * sx * sy for r, sx, sy in zip(runs, sign[x], sign[y])) for x, y in pairs]

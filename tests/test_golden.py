@@ -135,12 +135,14 @@ def test_numpy_free_commands_match_golden_bytes_without_numpy(name):
     assert done.stdout == (GOLDEN / name).read_bytes()
 
 
-# iid commands whose windows total at most 4 * BLOCK_TRIALS = 262144 trials hash them in
-# Python-int lanes
+# iid commands whose hashed windows total at most 4 * BLOCK_TRIALS = 262144 trials hash them
+# in Python-int lanes; a curve hashes 15 of its 17 windows, as the products at delta = 0 and
+# pi never change sign
 NUMPY_FREE_IID = {
     "chsh": ["chsh", "--model", "iid", "--seed", SEED, "--trials", "65536"],
     "curve-17x3855": ["curve", "--model", "iid", "--seed", SEED, "--trials", "3855"],
     "curve-17x15420": ["curve", "--model", "iid", "--seed", SEED, "--trials", "15420"],
+    "curve-17x17476": ["curve", "--model", "iid", "--seed", SEED, "--trials", "17476"],
     "compare-json": ["compare", "--model", "iid", "--seed", SEED, "--trials", "100",
                      "--format", "json"],
     "chsh-independent": ["chsh", "--model", "iid", "--seed", SEED, "--trials", "16384",
@@ -158,8 +160,8 @@ def test_one_block_iid_commands_print_the_numpy_bytes_without_numpy(name, tmp_pa
 
 
 def test_an_iid_command_past_one_block_counts_with_numpy(tmp_path):
-    # 17 points * 15421 trials = 262157 trials, 13 past 4 * BLOCK_TRIALS
-    argv = ["curve", "--model", "iid", "--seed", SEED, "--trials", "15421",
+    # 15 hashed points * 17477 trials = 262155 trials, 11 past 4 * BLOCK_TRIALS
+    argv = ["curve", "--model", "iid", "--seed", SEED, "--trials", "17477",
             "--out", str(tmp_path / "curve.csv")]
     done = subprocess.run(
         [sys.executable, "-c",

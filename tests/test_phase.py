@@ -440,9 +440,11 @@ def test_python_int_count_equals_the_numpy_count_bit_for_bit(
     assert [type(c) for c in by_ints] == [int] * len(limits)
 
 
-# a block of 2**15 counters is built from rows of 4096: around a row, a block and a row
-# past two blocks
-SPLIT_POINTS = [1, 4095, 4096, 4097, 2**15 - 1, 2**15, 2**15 + 1, 2**16 + 4097]
+# a block of 2**14 counters is built from rows of 4096: around a row, one, two and four
+# blocks, and a row past four blocks
+SPLIT_POINTS = [
+    1, 4095, 4096, 4097, 2**14 - 1, 2**14, 2**14 + 1, 2**15 - 1, 2**15, 2**15 + 1, 2**16 + 4097
+]
 
 
 @pytest.mark.parametrize("stride", [1, 17])

@@ -18,8 +18,10 @@ from phasebit import (
 )
 from phasebit import phase as phase_module
 from phasebit import signals
+from phasebit.config import default_angles
 from phasebit.phase import BLOCK_TRIALS, OSCILLATOR_ENSEMBLE, PHASE_STEPS, PhaseStream, step_phase
 from phasebit.signals import run_counts, sign_edges, sign_product_sums
+from phasebit.stats import correlation_curve
 
 
 def agreement_probability_quadrature(delta, n=2_000_001):
@@ -499,6 +501,74 @@ def test_kernel_rejects_bad_counts():
     with pytest.raises(ValueError):
         sign_product_sums([(stream, ((0.0, 1.0),), 0)])
     assert stream.position == 0
+
+
+# ------------------------------------------------- windows of one product
+
+# every pair's two wrapped angles have equal sign edges (-pi wraps to pi)
+ONE_PRODUCT = {
+    "0,0": ((0.0, 0.0),),
+    "0,pi": ((0.0, math.pi), (math.pi, 0.0)),
+    "x,x": ((0.7, 0.7), (-1.0, -1.0), (math.pi, -math.pi)),
+}
+
+
+def test_the_default_curve_hashes_only_the_windows_whose_product_changes_sign(monkeypatch):
+    seen = []
+    reference = phase_module._iid_turns_below
+    monkeypatch.setattr(
+        phase_module, "_iid_turns_below",
+        lambda windows: seen.append(len(windows)) or reference(windows),
+    )
+    deltas = default_angles("curve")
+    points = correlation_curve(PhaseModel(seed=3), deltas, 1000)  # numpy is loaded in here
+    assert len(deltas) == 17 and seen == [15]
+    # delta = 0 and delta = pi are summed as +n and -n
+    assert [p.estimated.mean for p in points if p.delta in (0.0, math.pi)] == [1.0, -1.0]
+
+
+@pytest.mark.parametrize("pairs", ONE_PRODUCT.values(), ids=ONE_PRODUCT.keys())
+@pytest.mark.parametrize("model", KERNEL_MODELS, ids=["iid", "oscillator"])
+def test_a_window_of_one_product_is_checked_before_any_stream_moves(model, pairs, monkeypatch):
+    counted = []
+    for name in ("_iid_turns_below", "_iid_turns_below_int", "_oscillator_turns_below"):
+        monkeypatch.setattr(phase_module, name, lambda *args, name=name: counted.append(name))
+    good, empty, late = make_phase_stream(model), make_phase_stream(model), PhaseStream(model)
+    late.skip(2**63 - 10)  # its next 10 trials end at 2**63 - 1
+    for bad in ((empty, pairs, 0), (late, pairs, 11)):
+        with pytest.raises(ValueError):
+            sign_product_sums([(good, ((0.0, 1.0),), 5), (good, pairs, 5), bad])
+    assert [s.position for s in (good, empty, late)] == [0, 0, 2**63 - 10] and counted == []
+    monkeypatch.undo()
+    # the window that ends at the last trial index is summed as +-n
+    products = [dichotomic(0.0, x) * dichotomic(0.0, y) for x, y in pairs]
+    assert sign_product_sums([(late, pairs, 10)]) == [[10 * p for p in products]]
+    assert late.position == 2**63
+
+
+@pytest.mark.parametrize("n", [1, 2 * BLOCK_TRIALS + 7], ids=["1", "2b+7"])
+@pytest.mark.parametrize("model", KERNEL_MODELS, ids=["iid", "oscillator"])
+def test_a_window_of_one_product_sums_its_runs_and_advances_by_n(model, n):
+    pairs = [pair for group in ONE_PRODUCT.values() for pair in group]
+    streams = [PhaseStream(model, start=11, stride=3) for _ in range(3)]
+    counted = ((0.0, 0.7), (-1.0, math.pi))
+    sums = sign_product_sums(
+        [(streams[0], counted, n), (streams[1], pairs, n), (streams[2], counted, n + 1)]
+    )
+    assert [s.position for s in streams] == [n, n, n + 1]
+    # the kernel's sum over the runs, as it reads every window with a sign change
+    wrapped = [(wrap_angle(x), wrap_angle(y)) for x, y in pairs]
+    angles = list(dict.fromkeys(a for pair in wrapped for a in pair))
+    ((runs, signs),) = run_counts([(PhaseStream(model, start=11, stride=3), angles, n)])
+    sign = dict(zip(angles, signs))
+    assert sums[1] == [
+        sum(r * sx * sy for r, sx, sy in zip(runs, sign[x], sign[y])) for x, y in wrapped
+    ]
+    assert all(abs(total) == n for total in sums[1])
+    # the windows around it are counted as they are alone
+    for total, size in ((sums[0], n), (sums[2], n + 1)):
+        alone = PhaseStream(model, start=11, stride=3)
+        assert [total] == sign_product_sums([(alone, counted, size)])
 
 
 def test_from_product_sum_validation():

@@ -158,9 +158,10 @@ def test_estimator_memory_is_bounded_by_the_block(kind, estimate):
     assert peak < 8_000_000
 
 
-def test_iid_curve_working_set_stays_under_12_block_sizes():
-    # numpy is loaded, so the 17 windows of 300000 trials are hashed in the numpy kernel,
-    # whose buffers (z and scratch at 256 KB, a 32 KB row) are its whole working set
+def test_iid_curve_working_set_stays_under_6_block_sizes():
+    # numpy is loaded, so the 15 windows of 300000 trials whose product changes sign are
+    # hashed in the numpy kernel, whose buffers (z and scratch at 128 KB, a 32 KB row) are
+    # its whole working set
     deltas = [k * math.pi / 16 for k in range(17)]
     tracemalloc.start()
     try:
@@ -168,7 +169,7 @@ def test_iid_curve_working_set_stays_under_12_block_sizes():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12 * BLOCK_TRIALS
+    assert peak < 6 * BLOCK_TRIALS
 
 
 def test_oscillator_chsh_memory_does_not_grow_with_the_trial_count():
