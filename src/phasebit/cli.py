@@ -33,8 +33,9 @@ from .config import (
     validate_config,
 )
 from .oracle import chsh_quantum, singlet_correlation
-from .phase import BLOCK_TRIALS, OSCILLATOR_ENSEMBLE, make_phase_stream
-from .register import Balanced, Definite, VirtualRegister, cnot, hadamard, initialize
+from .phase import make_phase_stream, wrap_angle
+from .register import Balanced, Definite, cnot, hadamard
+from .register import initialize  # unused here; bench/layer_trace.py wraps it by this name
 from .signals import run_counts
 from .stats import chsh_classical, correlation_curve
 
@@ -47,16 +48,6 @@ CHSH_FIELDS = (
 INIT_FIELDS = ("qubit", "alpha", "n_trials", "n_accepted", "p_bit0", "stderr")
 GATES_FIELDS = ("gate", "input", "output")
 COMPARE_FIELDS = ("delta_alpha", "m_classical", "m_estimated", "stderr", "e_singlet", "n")
-
-# The iid ``init`` window: its largest per-window array, 8 B x 8192 = 64 KB,
-# stays below glibc's 128 KB mmap threshold, so each window reuses heap
-# memory instead of faulting fresh pages in.  At 1e6 trials on 8 qubits
-# (2 shared vCPUs, Python 3.11, numpy 2.4) the process's peak RSS, median
-# of 14 runs, read 31.54 MB at 2**16, 29.67 MB at 2**14, 29.28 MB here and
-# 29.17 MB at 2**12, against 28.80 MB for one trial; 2**12 ran about 10%
-# slower.
-_INIT_WINDOW = BLOCK_TRIALS // 8
-
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -123,51 +114,31 @@ def _run_chsh(config: ExperimentConfig):
 def _run_init(config: ExperimentConfig):
     """Post-select ``config.trials`` trials and report each qubit's bit-0 rate.
 
-    The ``oscillator`` counts in closed form, so its trials are one
-    :func:`run_counts` call over all the register's angles, a masked sum
-    that draws no phase.  Let ``acc`` be the runs on which the signal qubit
-    reads +1: ``n_accepted`` is the trial count on ``acc``, and a qubit's
-    count of ones the trial count on those runs of ``acc`` where it reads
-    -1.  That takes milliseconds at any ``--trials`` and imports no numpy.
-
-    The ``iid`` register is post-selected by :func:`initialize` one window
-    of ``_INIT_WINDOW`` (8192) trials at a time.  Each call on the same
-    register advances its stream's cursor, so the windows walk the trials
-    of one whole-run call in the same order.  Only each window's accepted
-    count and ones per qubit are kept, as Python ints, so the command holds
-    one window of accepted records and its memory is O(``_INIT_WINDOW``) at
-    any ``--trials``.  The window is an eighth of ``BLOCK_TRIALS`` so that
-    every per-window array fits under glibc's mmap threshold and is reused
-    from the heap rather than faulted in again for each window.
+    Both models count the register in one :func:`run_counts` call over all
+    its angles, a masked sum that draws no phase.  Let ``acc`` be the runs
+    on which the signal qubit reads +1: ``n_accepted`` is the trial count on
+    ``acc``, and a qubit's count of ones the trial count on those runs of
+    ``acc`` where it reads -1.  These are the records :func:`initialize`
+    returns for the same register, summed per qubit, so the command holds no
+    record.  The ``oscillator`` counts in closed form at any ``--trials``;
+    the ``iid`` count hashes in Python-int lanes, without numpy, up to
+    ``4 * BLOCK_TRIALS`` trials, and in the count kernel's fixed block
+    buffers above that.
     """
     stream = make_phase_stream(config.model)
-    register = VirtualRegister(
-        [Balanced(a) for a in config.angles], stream, signal_index=config.signal_index
-    )
-    if config.model.kind == OSCILLATOR_ENSEMBLE:
-        ((runs, signs),) = run_counts([(stream, config.angles, config.trials)])
-        acc = [i for i, green in enumerate(signs[config.signal_index]) if green > 0]
-        n_accepted = sum(runs[i] for i in acc)
-        ones_per_qubit = [sum(runs[i] for i in acc if q_signs[i] < 0) for q_signs in signs]
-    else:
-        n_accepted = 0
-        ones_per_qubit = [0] * len(register.qubits)
-        for done in range(0, config.trials, _INIT_WINDOW):
-            accepted = initialize(register, min(_INIT_WINDOW, config.trials - done))
-            n_accepted += len(accepted)
-            ones_per_qubit = [
-                total + ones
-                for total, ones in zip(ones_per_qubit, accepted.sum(axis=0).tolist())
-            ]
+    ((runs, signs),) = run_counts([(stream, config.angles, config.trials)])
+    acc = [i for i, green in enumerate(signs[config.signal_index]) if green > 0]
+    n_accepted = sum(runs[i] for i in acc)
     rows = []
-    for index, (q, ones) in enumerate(zip(register.qubits, ones_per_qubit)):
+    for index, (alpha, q_signs) in enumerate(zip(config.angles, signs)):
+        ones = sum(runs[i] for i in acc if q_signs[i] < 0)
         if n_accepted:
             p_bit0 = (n_accepted - ones) / n_accepted
             stderr = math.sqrt(p_bit0 * (1.0 - p_bit0) / n_accepted)
         else:
             p_bit0 = math.nan
             stderr = math.nan
-        rows.append((index, q.alpha, config.trials, n_accepted, p_bit0, stderr))
+        rows.append((index, wrap_angle(alpha), config.trials, n_accepted, p_bit0, stderr))
     return INIT_FIELDS, rows
 
 

@@ -32,13 +32,13 @@ product; a pair whose two angles have equal edges, such as ``delta = 0``
 or ``pi``, has one product on every run, so a window of such pairs is
 summed as ``+-n`` per pair and counts no trial.
 :func:`~phasebit.register.initialize` sizes its output from the runs on
-which the signal qubit reads ``+1``; the CLI's oscillator ``init`` is that
-sum alone, with each qubit's ones summed over the accepted runs on which
-it reads ``-1``.  Counts and ``+-1`` product sums are Python ints, so the
-result does not depend on the blocking or the counting method.  The
-kernel itself needs no numpy: only :func:`dichotomic_array` imports it,
-and the ``iid`` count does when its counted windows total more than
-``4 * BLOCK_TRIALS`` trials or numpy is already loaded.
+which the signal qubit reads ``+1``; the CLI's ``init``, in both models,
+is that sum alone, with each qubit's ones summed over the accepted runs
+on which it reads ``-1``.  Counts and ``+-1`` product sums are Python
+ints, so the result does not depend on the blocking or the counting
+method.  The kernel itself needs no numpy: only :func:`dichotomic_array`
+imports it, and the ``iid`` count does when its counted windows total
+more than ``4 * BLOCK_TRIALS`` trials or numpy is already loaded.
 """
 
 from __future__ import annotations

@@ -116,8 +116,8 @@ def test_init_signal_row_is_pure_zero(capsys):
 def _whole_run_init_rows(config):
     """The init rows from one ``initialize`` call over every trial.
 
-    The reference for both of the CLI's paths: the iid windows and the
-    oscillator's masked sum over the run histogram.
+    The reference for the CLI's masked sum over the run histogram: its
+    counts must be those of ``initialize``'s records, in both models.
     """
     register = VirtualRegister(
         [Balanced(a) for a in config.angles],
@@ -146,11 +146,14 @@ INIT_MODELS = {
     "trials",
     [
         1, 2, BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1, 70001, 2 * BLOCK_TRIALS + 5,
-        cli._INIT_WINDOW - 1, cli._INIT_WINDOW, cli._INIT_WINDOW + 1, 2 * cli._INIT_WINDOW + 5,
+        # the edges of the 8192-trial windows the iid count once walked
+        8191, 8192, 8193, 16389,
+        # the largest count hashed in Python-int lanes without numpy, and one past it
+        262144, 262145,
     ],
 )
 @pytest.mark.parametrize("model", INIT_MODELS.values(), ids=INIT_MODELS.keys())
-def test_init_windows_give_the_rows_of_one_whole_run(model, trials, signal_index, capsys):
+def test_init_masked_sum_gives_the_rows_of_one_whole_run(model, trials, signal_index, capsys):
     config = ExperimentConfig(
         command="init", model=model, trials=trials, angles=(0.3, 2.1, -1.2),
         signal_index=signal_index,
@@ -161,9 +164,11 @@ def test_init_windows_give_the_rows_of_one_whole_run(model, trials, signal_index
     assert out == capsys.readouterr().out
 
 
-def test_init_holds_one_small_window():
+def test_iid_init_holds_only_the_count_kernels_block_buffers():
+    import numpy  # noqa: F401  loaded first, so the traced run does not count its import
+
     angles = tuple(0.4 * k for k in range(8))
-    # a first run loads numpy, so the traced run allocates only what a run holds
+    # a first run fills the caches of the sign edges and the mix's operands
     assert run(ExperimentConfig(command="init", model=PhaseModel(), trials=1, angles=angles)) == 0
     config = ExperimentConfig(command="init", model=PhaseModel(), trials=10**6, angles=angles)
     tracemalloc.start()
@@ -172,16 +177,18 @@ def test_init_holds_one_small_window():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # an _INIT_WINDOW window's arrays are ~0.27 MB; BLOCK_TRIALS windows took ~2.1 MB
-    assert peak < 8 * BLOCK_TRIALS
+    # the count kernel's z and scratch take 128 KB each and its row 32 KB, ~0.29 MB at any
+    # --trials, and the masked sum holds no record
+    assert peak < 6 * BLOCK_TRIALS
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 @pytest.mark.parametrize(
     "argv, trials, bound_mb",
     [
-        (["init", "--angles", "0,pi/8,pi/4,3pi/8,pi/2,5pi/8,3pi/4,7pi/8"], ("1", "2000000"), 1.5),
-        # the iid curve's count kernel holds one fixed set of block buffers
+        # both iid counts hold one fixed set of block buffers past the numpy-free lanes
+        (["init", "--angles", "0,pi/8,pi/4,3pi/8,pi/2,5pi/8,3pi/4,7pi/8"], ("300000", "2000000"),
+         0.5),
         (["curve"], ("300000", "2000000"), 0.5),
     ],
     ids=["init", "curve"],

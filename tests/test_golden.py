@@ -56,6 +56,7 @@ NUMPY_FREE = [
     for stem in (
         "gates-iid", "gates-oscillator", "curve-oscillator", "chsh-oscillator",
         "chsh-independent-oscillator", "compare-oscillator", "init-oscillator", "chsh-iid",
+        "init-iid",
     )
     for fmt in ("csv", "json")
 ]
@@ -135,6 +136,7 @@ def test_numpy_free_commands_match_golden_bytes_without_numpy(name):
     assert done.stdout == (GOLDEN / name).read_bytes()
 
 
+INIT8_TEXT = "0,pi/8,pi/4,3pi/8,pi/2,5pi/8,3pi/4,7pi/8"
 # iid commands whose hashed windows total at most 4 * BLOCK_TRIALS = 262144 trials hash them
 # in Python-int lanes; a curve hashes 15 of its 17 windows, as the products at delta = 0 and
 # pi never change sign
@@ -147,6 +149,8 @@ NUMPY_FREE_IID = {
                      "--format", "json"],
     "chsh-independent": ["chsh", "--model", "iid", "--seed", SEED, "--trials", "16384",
                          "--independent-trials"],
+    "init-8x262144": ["init", "--model", "iid", "--seed", SEED, "--angles", INIT8_TEXT,
+                      "--trials", "262144"],
 }
 
 
@@ -159,10 +163,18 @@ def test_one_block_iid_commands_print_the_numpy_bytes_without_numpy(name, tmp_pa
     assert done.stdout == out.read_bytes()
 
 
-def test_an_iid_command_past_one_block_counts_with_numpy(tmp_path):
-    # 15 hashed points * 17477 trials = 262155 trials, 11 past 4 * BLOCK_TRIALS
-    argv = ["curve", "--model", "iid", "--seed", SEED, "--trials", "17477",
-            "--out", str(tmp_path / "curve.csv")]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 15 hashed points * 17477 trials = 262155 trials, 11 past 4 * BLOCK_TRIALS
+        ["curve", "--model", "iid", "--seed", SEED, "--trials", "17477"],
+        # init hashes its one window of trials once for all its angles
+        ["init", "--model", "iid", "--seed", SEED, "--angles", INIT8_TEXT, "--trials", "262145"],
+    ],
+    ids=["curve-17x17477", "init-8x262145"],
+)
+def test_an_iid_command_past_one_block_counts_with_numpy(argv, tmp_path):
+    argv = [*argv, "--out", str(tmp_path / "out.csv")]
     done = subprocess.run(
         [sys.executable, "-c",
          "import sys; from phasebit.cli import main; "
@@ -173,20 +185,25 @@ def test_an_iid_command_past_one_block_counts_with_numpy(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-@pytest.mark.parametrize("size", ["bench", "1"], ids=["bench-trials", "one-trial"])
-def test_the_short_runs_workload_loads_no_numpy(size):
+@pytest.mark.parametrize(
+    "workload, size",
+    [("short-runs", "bench"), ("short-runs", "1"), ("init-reg8", "1")],
+    # a size of 1 runs each invocation at one trial, as the benchmark's set-up probe does
+    ids=["short-runs-bench-trials", "short-runs-one-trial", "init-reg8-setup-probe"],
+)
+def test_the_workload_loads_no_numpy(workload, size):
     script = (
         "import os, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "from workloads import WORKLOADS\n"
         "from phasebit.cli import main\n"
-        "trials = None if sys.argv[2] == 'bench' else int(sys.argv[2])\n"
-        "for inv in WORKLOADS['short-runs'].invocations:\n"
+        "trials = None if sys.argv[3] == 'bench' else int(sys.argv[3])\n"
+        "for inv in WORKLOADS[sys.argv[2]].invocations:\n"
         "    assert main([*inv.argv(seed=7, trials=trials), '--out', os.devnull]) == 0\n"
         "    assert 'numpy' not in sys.modules, inv.label\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", script, str(ROOT / "bench"), size],
+        [sys.executable, "-c", script, str(ROOT / "bench"), workload, size],
         capture_output=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120,
     )
     assert done.returncode == 0, done.stderr
