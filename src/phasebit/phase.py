@@ -439,7 +439,8 @@ def steps_below(windows: Sequence[tuple[PhaseStream, int, Sequence[int]]]) -> li
     total at most ``4 * BLOCK_TRIALS`` trials and numpy is not loaded yet,
     since hashing that many costs less than importing numpy (measured in
     the comment at ``_INT_TRIALS``); in numpy blocks otherwise.  Both give
-    the same counts.
+    the same counts.  An ``iid`` window with no step below ``PHASE_STEPS``
+    hashes no trial: each of its steps counts all ``n``.
     """
     checked = []
     for stream, n, steps in windows:
@@ -447,15 +448,14 @@ def steps_below(windows: Sequence[tuple[PhaseStream, int, Sequence[int]]]) -> li
         first = stream._window(n)
         limits = [checked_int("step", step, 0, PHASE_STEPS) << _STEP_SHIFT for step in steps]
         checked.append((stream.model, first, stream.stride, n, limits))
-    iid = [w for w in checked if w[0].kind == IID_UNIFORM]
-    if sum(w[3] for w in iid) <= _INT_TRIALS and "numpy" not in sys.modules:
-        count_iid = _iid_turns_below_int
-    else:
-        count_iid = _iid_turns_below
-    iid_counts = iter(count_iid(iid))
+    hashed = [w[0].kind == IID_UNIFORM and min(w[4], default=_TURN) < _TURN for w in checked]
+    iid = [w for w, h in zip(checked, hashed) if h]
+    lanes = sum(w[3] for w in iid) <= _INT_TRIALS and "numpy" not in sys.modules
+    iid_counts = iter((_iid_turns_below_int if lanes else _iid_turns_below)(iid))
     return [
-        _oscillator_turns_below(*w) if w[0].kind == OSCILLATOR_ENSEMBLE else next(iid_counts)
-        for w in checked
+        next(iid_counts) if h else [w[3]] * len(w[4]) if w[0].kind == IID_UNIFORM
+        else _oscillator_turns_below(*w)
+        for w, h in zip(checked, hashed)
     ]
 
 

@@ -7,24 +7,26 @@ from the shared phase (the register is the coherence zone).  One designated
 signal qubit gates trial acceptance: bit 0 accepts the trial, bit 1 discards
 it, which post-selects the register into an initialized state.
 
-:func:`initialize` first counts the accepted trials exactly from the
-signal qubit's :func:`~phasebit.signals.run_counts`, without drawing a
-phase, and allocates its output once at that size: one int8 record of
-``qubits`` bytes per accepted trial, with no trial index.  It then reads
-each block of phases once per Balanced qubit with
-:func:`~phasebit.signals.dichotomic_array`, which evaluates no cosine for a
-phase at a wrapped angle, and writes the block's accepted bits straight
-into their slice, one qubit at a time.  Peak memory is therefore the output
-plus O(``BLOCK_TRIALS``), whatever the trial count.  numpy is imported
-when :func:`initialize` runs, not with this module.
+:func:`initialize` reads every bit by one rule: a Definite qubit's bit, or
+a Balanced qubit's bit at phase 0 flipped at each of its
+:func:`~phasebit.signals.sign_edges`.  It counts the accepted trials
+first, from the signal qubit's edges, drawing no phase, and allocates its
+output once: one int8 record of ``qubits`` bytes per accepted trial, with
+no trial index.  It then draws each block's phases once and writes the
+accepted bits into their slice, one qubit at a time, with one compare per
+edge and no cosine.  Peak memory is the output plus O(``BLOCK_TRIALS``),
+whatever the trial count.  numpy is imported when :func:`initialize` runs,
+not with this module.
 """
 
 from __future__ import annotations
 
 import numbers
 
-from .phase import BLOCK_TRIALS, PhaseStream, _Record, checked_int, wrap_angle
-from .signals import dichotomic_array, run_counts
+from .phase import BLOCK_TRIALS, PhaseStream, _Record, checked_int, step_phase, steps_below
+from .phase import wrap_angle
+from .signals import dichotomic, sign_edges
+from .signals import dichotomic_array  # unused here; bench/layer_trace.py wraps it by this name
 
 
 class Definite(_Record):
@@ -81,49 +83,39 @@ class VirtualRegister:
                 f"signal_index={self.signal_index!r})")
 
 
+def _bit_rule(q: QubitState) -> tuple[int, tuple[int, ...]]:
+    """``(bit, edges)``: on step ``k`` the qubit reads ``bit`` xor the parity of its edges ``<= k``.
+
+    A Definite qubit has no edge; a Balanced one reads 1 where its signal is
+    red (-1) and flips at its :func:`~phasebit.signals.sign_edges`.
+    """
+    if isinstance(q, Definite):
+        return q.bit, ()
+    return int(dichotomic(0.0, q.alpha) < 0), sign_edges(q.alpha)
+
+
 def _accepted_count(register: VirtualRegister, trials: int) -> int:
     """How many of the stream's next ``trials`` trials the signal qubit accepts; no cursor moves.
 
-    A Definite signal qubit accepts every trial or none.  A Balanced one
-    accepts the trials on the runs where it reads green (+1).
+    One :func:`~phasebit.phase.steps_below` call counts its runs between
+    edges; it reads bit 0 on every other one.  A Definite one hashes none.
     """
-    signal = register.qubits[register.signal_index]
-    if isinstance(signal, Definite):
-        return trials if signal.bit == 0 else 0
-    ((runs, (signs,)),) = run_counts([(register.stream, [signal.alpha], trials)])
-    return sum(r for r, green in zip(runs, signs) if green > 0)
+    bit, edges = _bit_rule(register.qubits[register.signal_index])
+    (below,) = steps_below([(register.stream, trials, edges)])
+    runs = [hi - lo for lo, hi in zip([0, *below], [*below, trials])]
+    return sum(runs[bit::2])
 
 
-def _fill_block(register: VirtualRegister, count: int, bits: np.ndarray, filled: int) -> int:
-    """Draw the next ``count`` trials and write their accepted columns into ``bits`` from ``filled``.
+def _bits(phi: np.ndarray, bit: int, edges: tuple[int, ...], out: np.ndarray) -> np.ndarray:
+    """Write each phase's bit under a :func:`_bit_rule` into bool ``out``; return ``out``.
 
-    Returns the column after the last one written.  One block's arrays live
-    only here, so they are freed before the next block is drawn.
+    The step before an edge reads the other signal, so its phase is smaller:
+    a phase reaches ``step_phase(e)`` exactly when its step reaches ``e``.
     """
-    import numpy as np
-
-    phi = register.stream.take(count)[1]
-    signal = register.qubits[register.signal_index]
-    if isinstance(signal, Definite):
-        green = np.full(phi.shape, signal.bit == 0)
-    else:
-        green = dichotomic_array(phi, signal.alpha) > 0
-    # one index array serves every row; a take on it beats a compress per row
-    accepted = np.flatnonzero(green)
-    end = filled + len(accepted)
-    if end > bits.shape[1]:
-        raise RuntimeError(f"blocks accept more than the {bits.shape[1]} trials counted")
-    for index, (q, row) in enumerate(zip(register.qubits, bits)):
-        if isinstance(q, Definite):
-            row[filled:end] = q.bit
-        elif index == register.signal_index:
-            row[filled:end] = 0  # accepted: green
-        else:
-            # green (+1) -> bit 0, red (-1) -> bit 1
-            red = (dichotomic_array(phi, q.alpha) < 0).view(np.int8)
-            # every index is in range; mode "raise" would copy through a buffer
-            np.take(red, accepted, out=row[filled:end], mode="wrap")
-    return end
+    out[...] = bit
+    for e in edges:
+        out ^= phi >= step_phase(e)
+    return out
 
 
 def initialize(register: VirtualRegister, trials: int) -> np.ndarray:
@@ -133,22 +125,30 @@ def initialize(register: VirtualRegister, trials: int) -> np.ndarray:
     trials produce no output at all.  The result is an int8 array with one
     row per accepted trial and one contiguous column per qubit, so ``len()``
     counts the accepted trials and the signal column is all 0.  The
-    accepted count comes first, from :func:`~phasebit.signals.run_counts`,
-    and sizes the output; the stream is then walked in blocks of
-    ``BLOCK_TRIALS``, each block's accepted bits written into their slice
-    one qubit at a time.  Peak memory is the output plus O(``BLOCK_TRIALS``).
-    Bits that disagree with the count raise ``RuntimeError``.
+    accepted count, by the signal qubit's :func:`_bit_rule`, sizes the
+    output; the stream is then walked in blocks of ``BLOCK_TRIALS``, each
+    block's accepted bits written into their slice one qubit at a time by
+    its rule.  Peak memory is the output plus O(``BLOCK_TRIALS``).  Bits
+    that disagree with the count raise ``RuntimeError``.
     """
     import numpy as np  # loaded first, so an iid count hashes in numpy blocks
 
     trials = checked_int("trials", trials, 1)
     n_accepted = _accepted_count(register, trials)
+    signal = _bit_rule(register.qubits[register.signal_index])
     bits = np.empty((len(register.qubits), n_accepted), dtype=np.int8)
     filled = 0
     for done in range(0, trials, BLOCK_TRIALS):
-        filled = _fill_block(register, min(BLOCK_TRIALS, trials - done), bits, filled)
+        phi = register.stream.take(min(BLOCK_TRIALS, trials - done))[1]
+        phi = phi[~_bits(phi, *signal, np.empty(phi.shape, dtype=bool))]  # the accepted ones
+        start, filled = filled, filled + len(phi)
+        if filled > n_accepted:
+            break
+        for q, row in zip(register.qubits, bits):
+            _bits(phi, *_bit_rule(q), row[start:filled].view(bool))
+        del phi  # freed before the next block is drawn
     if filled != n_accepted:
-        raise RuntimeError(f"blocks accept {filled} of the {n_accepted} trials counted")
+        raise RuntimeError(f"the blocks' accepted trials disagree with the {n_accepted} counted")
     return bits.T
 
 

@@ -31,14 +31,13 @@ first phase.  :func:`sign_product_sums` weights the runs by a pair's
 product; a pair whose two angles have equal edges, such as ``delta = 0``
 or ``pi``, has one product on every run, so a window of such pairs is
 summed as ``+-n`` per pair and counts no trial.
-:func:`~phasebit.register.initialize` sizes its output from the runs on
-which the signal qubit reads ``+1``; the CLI's ``init``, in both models,
-is that sum alone, with each qubit's ones summed over the accepted runs
-on which it reads ``-1``.  Counts and ``+-1`` product sums are Python
-ints, so the result does not depend on the blocking or the counting
-method.  The kernel itself needs no numpy: only :func:`dichotomic_array`
-imports it, and the ``iid`` count does when its counted windows total
-more than ``4 * BLOCK_TRIALS`` trials or numpy is already loaded.
+The CLI's ``init`` sums the runs on which the signal qubit reads ``+1``,
+and each qubit's ones on those where it reads ``-1``;
+:func:`~phasebit.register.initialize` reads its bits by the same edges.
+Counts and ``+-1`` product sums are Python ints, so no result depends on
+the blocking or the counting method.  Only :func:`dichotomic_array`, which
+no library code calls, imports numpy, and the ``iid`` count does past
+``4 * BLOCK_TRIALS`` counted trials or once numpy is loaded.
 """
 
 from __future__ import annotations

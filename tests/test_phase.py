@@ -367,6 +367,24 @@ def test_steps_below_rejects_bad_steps_and_counts(model):
     assert stream.position == 0
 
 
+def test_an_iid_window_with_no_limit_below_2pow64_hashes_no_trial(monkeypatch):
+    hashed = []
+    monkeypatch.setattr(phase_module, "_mix", lambda *args: hashed.append("_mix"))
+    monkeypatch.setattr(phase_module, "_lane_turns", lambda *args: hashed.append("_lane_turns"))
+    n = 10**6
+    stream = make_phase_stream(PhaseModel(seed=7))
+    assert steps_below([(stream, n, [])]) == [[]]
+    assert steps_below([(stream, n, [PHASE_STEPS])]) == [[n]]
+    assert steps_below([(stream, 3, [PHASE_STEPS] * 2), (stream, 5, [])]) == [[3, 3], []]
+    # each window is still checked before any work
+    late = PhaseStream(PhaseModel(seed=7), start=2**63 - 10)
+    for steps in ([], [PHASE_STEPS]):
+        with pytest.raises(ValueError):
+            steps_below([(late, 11, steps)])
+    assert stream.position == late.position == 0
+    assert hashed == []
+
+
 def test_oscillator_phases_stay_distinct_past_2pow53():
     # a float64 trial index past 2**53 collapses neighbouring trials onto one phase
     model = PhaseModel(kind=OSCILLATOR_ENSEMBLE, seed=13, burn_in=2**62)

@@ -18,7 +18,8 @@ from phasebit import (
     initialize,
     make_phase_stream,
 )
-from phasebit import register
+from phasebit import phase as phase_module
+from phasebit import register, signals
 from phasebit.phase import BLOCK_TRIALS
 from phasebit.register import _accepted_count
 from phasebit.signals import dichotomic_array
@@ -207,24 +208,47 @@ def test_blocked_initialize_equals_one_unblocked_take(kind, signal_index):
 
 @pytest.mark.parametrize("kind", ["iid", "oscillator"])
 def test_initialize_evaluates_no_cosine_per_trial(kind, monkeypatch):
-    qubits = [Balanced(k * math.pi / 8) for k in range(8)]
     model = PhaseModel(kind=kind, seed=5)
     trials = 70001
     _, phi = make_phase_stream(model).take(trials)
-    bits = np.stack([(np.cos(phi + q.alpha) < 0.0).view(np.int8) for q in qubits], axis=1)
-    keep = bits[:, 0] == 0
+    registers = [[Balanced(k * math.pi / 8) for k in range(8)], [Definite(0), Balanced(0.3)]]
+    references = [
+        np.stack([
+            np.full(phi.shape, q.bit, dtype=np.int8) if isinstance(q, Definite)
+            else (np.cos(phi + q.alpha) < 0.0).view(np.int8)
+            for q in qubits
+        ], axis=1)
+        for qubits in registers
+    ]
 
     cosine = np.cos
-    evaluated = []
+    evaluated, calls, hashed = [], [], []
 
     def counting(x, *args, **kwargs):
         evaluated.append(np.size(x))
         return cosine(x, *args, **kwargs)
 
+    def counted_calls(module):
+        read = module.dichotomic_array
+        return lambda *args: calls.append(module.__name__) or read(*args)
+
     monkeypatch.setattr(np, "cos", counting)
-    accepted = initialize(VirtualRegister(qubits, make_phase_stream(model)), trials)
+    for module in (register, signals):
+        monkeypatch.setattr(module, "dichotomic_array", counted_calls(module))
+    for qubits, bits in zip(registers, references):
+        accepted = initialize(VirtualRegister(qubits, make_phase_stream(model)), trials)
+        assert np.array_equal(accepted, bits[bits[:, 0] == 0])
     assert sum(evaluated) == 0
-    assert np.array_equal(accepted, bits[keep])
+    # one rule reads every bit: no second per-trial sign rule runs beside the count
+    assert calls == []
+
+    # a Definite signal qubit accepts every trial or none, so its count hashes no trial
+    for name in ("_mix", "_lane_turns"):
+        monkeypatch.setattr(phase_module, name, lambda *args, name=name: hashed.append(name))
+    for bit in (0, 1):
+        reg = VirtualRegister([Definite(bit), Balanced(0.3)], make_phase_stream(model))
+        assert _accepted_count(reg, trials) == (trials if bit == 0 else 0)
+    assert hashed == []
 
 
 def test_initialize_memory_does_not_grow_with_records():
@@ -237,8 +261,10 @@ def test_initialize_memory_does_not_grow_with_records():
         tracemalloc.stop()
     assert 400_000 < len(accepted) < 600_000
     assert accepted.nbytes == 8 * len(accepted)
-    # the output once, plus block buffers: no second copy of the accepted records
-    assert peak < accepted.nbytes + 48 * BLOCK_TRIALS
+    # the output once, plus one block's draw, ~24 * BLOCK_TRIALS: its int64 trial indices,
+    # uint64 turns and float phases; 4 * BLOCK_TRIALS is headroom, which one block's accepted
+    # phases, left alive through the next draw, would pass
+    assert peak < accepted.nbytes + 28 * BLOCK_TRIALS
 
 
 SIGNAL_CASES = [
