@@ -14,6 +14,11 @@ other command line: ``--help``, abbreviations, a value that starts with
 ``-`` and every usage error.  No field can hold a comma, a quote or a line
 break, so a CSV line is its fields joined by commas, and only JSON imports
 a module to write with: :func:`emit_json` imports ``json`` itself.
+
+:func:`entry`, the process entry of ``python -m phasebit`` and the
+``phasebit`` script, ends the process by ``os._exit``: no interpreter
+teardown and no ``atexit`` hook.  :func:`run` flushes stdout itself, so a
+failed write is exit 1 with one ``phasebit:`` line, whatever the buffering.
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ def _json_value(value):
 def _write_text(out_path: str, data: str) -> None:
     if out_path == STDOUT_SENTINEL:
         sys.stdout.write(data)
+        sys.stdout.flush()  # a failed write fails here, in run()'s handler
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(data)
@@ -319,3 +325,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"phasebit: config error: {exc}", file=sys.stderr)
         return 2
     return run(config)
+
+
+def entry() -> None:
+    """Run :func:`main` on ``sys.argv`` and end the process without teardown."""
+    code = main()
+    if sys.stderr is not None:
+        try:
+            sys.stderr.flush()
+        except OSError:
+            pass
+    os._exit(code)

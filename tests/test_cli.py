@@ -1,3 +1,4 @@
+import ast
 import csv
 import importlib.util
 import io
@@ -23,6 +24,7 @@ from phasebit.register import Balanced, VirtualRegister, initialize
 
 CANONICAL_ANGLES = "0,pi/2,pi/4,3pi/4"
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(argv, capsys):
@@ -758,6 +760,82 @@ def test_python_m_phasebit_subprocess():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("delta_alpha,")
+
+
+def run_buffered(args, **kwargs) -> subprocess.CompletedProcess:
+    """``python args`` with ``src`` on the path and ``PYTHONUNBUFFERED`` unset."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run(
+        [sys.executable, *args], stderr=subprocess.PIPE, env=env, timeout=120, **kwargs
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_disk_on_a_buffered_stdout_is_exit_1_with_one_line():
+    with open("/dev/full", "wb") as full:
+        done = run_buffered(["-m", "phasebit", "gates", "--seed", "1"], stdout=full)
+    assert (done.returncode, done.stderr) == (1, b"phasebit: [Errno 28] No space left on device\n")
+
+
+def test_python_m_phasebit_ends_without_interpreter_teardown(tmp_path):
+    # an atexit hook runs only in teardown, so its marker shows whether teardown ran
+    script = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print('teardown ran', file=sys.stderr))\n"
+        "sys.argv = ['phasebit', 'gates', '--seed', '1']\n"
+        "runpy.run_module('phasebit', run_name='__main__')\n"
+    )
+    out = tmp_path / "gates.csv"
+    assert main(["gates", "--seed", "1", "--out", str(out)]) == 0
+    done = run_buffered(["-c", script])
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == out.read_bytes()
+
+
+def test_a_stdout_larger_than_a_pipe_buffer_arrives_whole(tmp_path):
+    angles = ",".join(str(k / 100) for k in range(1000))
+    argv = ["curve", "--model", "oscillator", "--seed", "1", "--trials", "1000",
+            "--angles", angles, "--format", "json"]
+    out = tmp_path / "curve.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.stat().st_size > 65536
+    done = run_buffered(["-m", "phasebit", *argv])
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["curve", "--trials", "0"], 2, "", "phasebit: config error: trials must be >= 1, got 0\n"),
+        (["--help"], 0, "usage: phasebit ", ""),
+        (["bogus"], 2, "", "phasebit: error: argument command: invalid choice: 'bogus' "),
+    ],
+    ids=["config-error", "help", "unknown-command"],
+)
+def test_python_m_phasebit_exit_codes(argv, code, out, err):
+    done = run_buffered(["-m", "phasebit", *argv], text=True)
+    assert done.returncode == code
+    assert done.stdout.startswith(out) and bool(done.stdout) == bool(out)
+    # an error is the last line of stderr, after argparse's usage if argparse printed it
+    last = done.stderr.splitlines(keepends=True)[-1] if done.stderr else ""
+    assert last.startswith(err) and bool(last) == bool(err)
+
+
+def test_the_console_script_calls_the_function_python_m_phasebit_calls():
+    # pyproject.toml is read as text: tomllib is new in Python 3.11
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    script = re.search(r'^\[project\.scripts\]\nphasebit = "phasebit\.cli:(\w+)"$', pyproject, re.M)
+    assert script, "no phasebit script in [project.scripts]"
+    name = script.group(1)
+    tree = ast.parse((ROOT / "src" / "phasebit" / "__main__.py").read_text(encoding="utf-8"))
+    guard = tree.body[-1]
+    assert isinstance(guard, ast.If) and ast.unparse(guard.test) == "__name__ == '__main__'"
+    assert [ast.unparse(node) for node in guard.body] == [f"{name}()"]
+    assert ast.unparse(tree.body[0]) == f"from .cli import {name}"
+    assert callable(getattr(cli, name))
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
